@@ -23,10 +23,13 @@
 // ProcessBatch at 1/2/4/8 pool threads, byte-identity enforced) and the
 // CapacityMonitor incremental-vs-rescan comparison at two fleet sizes.
 // Emits BENCH_cep.json.
+#include <sched.h>
+
 #include <cstdio>
 #include <cstring>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cep/detectors.h"
@@ -81,10 +84,23 @@ struct BenchRecord {
 std::vector<BenchRecord> g_records;
 double g_trace_overhead_pct = 0.0;
 
+/// CPUs this process may run on — what `nproc` prints. BENCH_engine.json
+/// and BENCH_cluster.json record it so a speedup can be read against the
+/// cores it ran on.
+unsigned Nproc() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
+}
+
 void WriteJson(const char* path, std::size_t reports) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"experiment\": \"E10_engine\",\n");
+  std::fprintf(f, "  \"nproc\": %u,\n", Nproc());
   std::fprintf(f, "  \"trace_overhead_pct\": %.2f,\n", g_trace_overhead_pct);
   std::fprintf(f, "  \"reports\": %zu,\n  \"records\": [\n", reports);
   for (std::size_t i = 0; i < g_records.size(); ++i) {
@@ -141,6 +157,7 @@ void WriteClusterJson(const char* path, std::size_t reports) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"experiment\": \"E10c_cluster\",\n");
+  std::fprintf(f, "  \"nproc\": %u,\n", Nproc());
   std::fprintf(f, "  \"transport\": \"loopback\",\n");
   std::fprintf(f, "  \"reports\": %zu,\n  \"records\": [\n", reports);
   for (std::size_t i = 0; i < g_cluster_records.size(); ++i) {

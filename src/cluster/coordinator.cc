@@ -10,6 +10,47 @@
 
 namespace datacron {
 
+namespace {
+
+/// Moves one node's epoch reply into an EpochArena, translating every
+/// node-local term id through the node's remap table (remap[i] is the
+/// coordinator id of node id i + 1). An id outside the node dictionary is
+/// a protocol error, never an out-of-bounds read.
+Status ImportArena(EpochResultMsg reply, const std::vector<TermId>& remap,
+                   DatacronEngine::EpochArena* arena) {
+  const auto in_dict = [&remap](TermId id) {
+    return id != kInvalidTermId && id <= remap.size();
+  };
+  arena->triples = std::move(reply.triples);
+  for (Triple& t : arena->triples) {
+    if (!in_dict(t.s) || !in_dict(t.p) || !in_dict(t.o)) {
+      return Status::Internal("triple term id outside node dictionary");
+    }
+    t = {remap[t.s - 1], remap[t.p - 1], remap[t.o - 1]};
+  }
+  for (const auto& [id, tag] : reply.tags) {
+    if (!in_dict(id)) {
+      return Status::Internal("tag term id outside node dictionary");
+    }
+    arena->tags.emplace(remap[id - 1], tag);
+  }
+  for (const auto& [id, geo] : reply.node_geo) {
+    if (!in_dict(id)) {
+      return Status::Internal("node-geo term id outside node dictionary");
+    }
+    arena->node_geo.emplace(remap[id - 1], geo);
+  }
+  arena->episodes = std::move(reply.episodes);
+  arena->events = std::move(reply.events);
+  arena->sub_deltas = std::move(reply.sub_deltas);
+  for (const auto& [id, count] : reply.sub_counts) {
+    arena->sub_counts[id] = count;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 ClusterEngine::ClusterEngine(Options opts,
                              std::vector<std::unique_ptr<Transport>> nodes)
     : opts_(std::move(opts)),
@@ -90,15 +131,8 @@ Status ClusterEngine::RetireFront(std::deque<PendingEpoch>* ring,
       if (replies[n].dict_size_before != remap_[n].size()) {
         return Status::Internal("node dictionary delta stream out of sync");
       }
-      if (replies[n].results.size() != e.routing.by_part[n].size()) {
-        return Status::Internal("epoch result count mismatch");
-      }
-      std::uint64_t claimed = 0;
-      for (const WireReportResult& res : replies[n].results) {
-        claimed += res.new_term_count;
-      }
-      if (claimed != replies[n].new_terms.size()) {
-        return Status::Internal("epoch dictionary delta count mismatch");
+      if (replies[n].slots.size() != e.routing.by_part[n].size()) {
+        return Status::Internal("epoch slot count mismatch");
       }
     }
     watermarks_.Advance(n, e.id);
@@ -110,70 +144,46 @@ Status ClusterEngine::RetireFront(std::deque<PendingEpoch>* ring,
 
   static obs::Counter* delta_terms_counter =
       obs::MetricsRegistry::Global().counter("cluster.delta_terms");
-
-  // Absorb per report in *input* order, remapping each report's outputs
-  // through its node's id table right after importing the report's slice
-  // of the node's coalesced epoch dictionary delta — this interleaving is
-  // what reproduces the serial engine's first-occurrence id assignment
-  // even though each node ships one delta per epoch.
   DATACRON_TRACE_SPAN("cluster.epoch_absorb", "cluster");
-  std::vector<std::size_t> cursor(n_nodes, 0);
-  std::vector<std::size_t> term_cursor(n_nodes, 0);
-  for (std::size_t i = 0; i < e.items.size(); ++i) {
-    const std::size_t n =
-        static_cast<std::size_t>(MixU64(e.items[i].entity_id) % n_nodes);
-    WireReportResult& res = replies[n].results[cursor[n]++];
-    std::vector<TermId>& remap = remap_[n];
-    if (res.new_term_count > 0) {
-      DATACRON_TRACE_SPAN("cluster.delta_import", "cluster");
-      delta_terms_counter->Add(res.new_term_count);
-      local_.dictionary()->ImportDelta(
-          std::span<const TermExport>(replies[n].new_terms)
-              .subspan(term_cursor[n], res.new_term_count),
-          &remap);
-      term_cursor[n] += res.new_term_count;
-    }
 
-    DatacronEngine::ReportOutput out;
-    out.cp_count = res.cp_count;
-    out.keyed_events = std::move(res.keyed_events);
-    out.episodes = std::move(res.episodes);
-    out.triples.reserve(res.triples.size());
-    for (const Triple& t : res.triples) {
-      if (t.s == kInvalidTermId || t.s > remap.size() ||
-          t.p == kInvalidTermId || t.p > remap.size() ||
-          t.o == kInvalidTermId || t.o > remap.size()) {
-        return Status::Internal("triple term id outside node dictionary");
-      }
-      out.triples.push_back(
-          {remap[t.s - 1], remap[t.p - 1], remap[t.o - 1]});
+  // Slots in global input order; each node's arena is shard n.
+  std::vector<DatacronEngine::ShardSlot> slots(e.items.size());
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    const std::vector<std::uint32_t>& part = e.routing.by_part[n];
+    for (std::size_t k = 0; k < part.size(); ++k) {
+      slots[part[k]] = replies[n].slots[k];
+      slots[part[k]].shard = static_cast<std::uint32_t>(n);
     }
-    for (const auto& [id, tag] : res.tags) {
-      if (id == kInvalidTermId || id > remap.size()) {
-        return Status::Internal("tag term id outside node dictionary");
-      }
-      out.tags.emplace(remap[id - 1], tag);
-    }
-    for (const auto& [id, geo] : res.node_geo) {
-      if (id == kInvalidTermId || id > remap.size()) {
-        return Status::Internal("node-geo term id outside node dictionary");
-      }
-      out.node_geo.emplace(remap[id - 1], geo);
-    }
-    out.sub_deltas = std::move(res.sub_deltas);
-    for (const auto& [id, count] : res.sub_counts) {
-      out.sub_counts[id] = count;
-    }
-    out.synopses_ns = res.synopses_ns;
-    out.transform_ns = res.transform_ns;
-    out.keyed_cep_ns = res.keyed_cep_ns;
-    local_.AbsorbKeyedOutput(e.items[i], &out, events);
   }
-  // One subscription epoch per cluster epoch: coalesce the fleet's deltas
-  // and push the batches through the coordinator registry's sink.
-  if (!e.items.empty()) {
-    local_.FlushSubscriptionEpoch(e.items.back().timestamp);
+
+  // Phase 1 — import each report's slice of its node's coalesced
+  // dictionary delta in *input* order. remap_[n] always spans the node
+  // dictionary imported so far, so the slice is [remap size, terms_end);
+  // this interleaving reproduces the serial engine's first-occurrence id
+  // assignment even though each node ships one delta per epoch.
+  for (const DatacronEngine::ShardSlot& slot : slots) {
+    std::vector<TermId>& remap = remap_[slot.shard];
+    if (slot.terms_end <= remap.size()) continue;
+    DATACRON_TRACE_SPAN("cluster.delta_import", "cluster");
+    const EpochResultMsg& reply = replies[slot.shard];
+    const std::size_t count = slot.terms_end - remap.size();
+    delta_terms_counter->Add(count);
+    local_.dictionary()->ImportDelta(
+        std::span<const TermExport>(reply.new_terms)
+            .subspan(remap.size() - reply.dict_size_before, count),
+        &remap);
   }
+
+  // Every node-local id now resolves through remap_[n]; translate each
+  // node's arena into coordinator ids, then run the shared absorb.
+  std::vector<DatacronEngine::EpochArena> arenas(n_nodes);
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    if (Status s = ImportArena(std::move(replies[n]), remap_[n], &arenas[n]);
+        !s.ok()) {
+      return s;
+    }
+  }
+  local_.AbsorbEpoch(e.items, slots, arenas, {}, events, nullptr);
   ring->pop_front();
   return Status::OK();
 }

@@ -27,15 +27,18 @@ namespace datacron {
 ///    entity's whole subsequence is processed by one node in input order —
 ///    the same per-key subsequence the in-process ShardedRuntime feeds a
 ///    shard (stream/epoch.h is the shared contract).
-///  - Nodes intern into their own dictionary and ship *per-report*
-///    dictionary deltas. The coordinator imports each report's delta in
-///    global input order, so a term's canonical id is assigned at its
-///    first-in-input occurrence — exactly the serial order. (A term new to
-///    the stream is always new to its processing node too: the node's
-///    dictionary only holds terms from that node's earlier reports, which
-///    are earlier in the input.)
-///  - All global stages run on the coordinator in input order, per report,
-///    once the epoch barrier (EpochWatermarks) has released the epoch.
+///  - Each node runs its sub-batch into one EpochArena, interning into
+///    its own dictionary, and replies with the arena, per-report slot
+///    watermarks and one coalesced dictionary delta. The coordinator
+///    imports each report's slice of that delta in global input order, so
+///    a term's canonical id is assigned at its first-in-input occurrence —
+///    exactly the serial order. (A term new to the stream is always new to
+///    its processing node too: the node's dictionary only holds terms from
+///    that node's earlier reports, which are earlier in the input.)
+///  - Once the epoch barrier (EpochWatermarks) has released the epoch, the
+///    coordinator translates every node id through its remap table and
+///    runs the same DatacronEngine::AbsorbEpoch as the in-process path,
+///    one arena per node, in input order.
 ///
 /// Flow control: up to Config::max_epochs_in_flight epochs are routed
 /// ahead of the in-order merge; the front epoch is then retired by
@@ -122,8 +125,9 @@ class ClusterEngine {
     EpochRouting routing;
   };
 
-  /// Receives every node's reply for the front epoch, advances the
-  /// watermark barrier, and absorbs the epoch's outputs in input order.
+  /// Receives every node's arena reply for the front epoch, advances the
+  /// watermark barrier, imports the dictionary deltas in input order, and
+  /// absorbs the node arenas through DatacronEngine::AbsorbEpoch.
   Status RetireFront(std::deque<PendingEpoch>* ring,
                      std::vector<Event>* events);
 

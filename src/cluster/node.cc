@@ -51,48 +51,34 @@ Status ClusterNode::HandleBatch(const std::string& payload) {
     return transport_->Send(Encode(wm));
   }
 
+  // The whole sub-batch runs through the keyed stage into one arena,
+  // interning into the node dictionary; each slot's terms_end records the
+  // dictionary size after its report, which is how the coordinator slices
+  // the coalesced delta back into per-report ranges.
   TermDictionary* dict = engine_.dictionary();
   EpochResultMsg result;
   result.epoch = batch.epoch;
   result.dict_size_before = dict->size();
-  result.results.reserve(batch.reports.size());
-  for (const PositionReport& report : batch.reports) {
-    const std::size_t before = dict->size();
-    DatacronEngine::ReportOutput out;
-    engine_.ProcessKeyedOnly(report, dict, &out);
-
-    WireReportResult res;
-    res.cp_count = out.cp_count;
-    // The terms this report interned: the contiguous id range the node
-    // dictionary grew by. Only the count travels per report — the epoch's
-    // text payload is exported once, below.
-    res.new_term_count = dict->size() - before;
-    res.keyed_events = std::move(out.keyed_events);
-    res.episodes = std::move(out.episodes);
-    res.triples = std::move(out.triples);
-    // Side tables travel id-sorted so the encoded bytes are canonical
-    // regardless of hash-map iteration order.
-    res.tags.assign(out.tags.begin(), out.tags.end());
-    std::sort(res.tags.begin(), res.tags.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    res.node_geo.assign(out.node_geo.begin(), out.node_geo.end());
-    std::sort(res.node_geo.begin(), res.node_geo.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    res.sub_deltas = std::move(out.sub_deltas);
-    out.sub_counts.ForEach([&res](std::uint64_t id, const double& count) {
-      res.sub_counts.emplace_back(id, count);
-    });
-    std::sort(res.sub_counts.begin(), res.sub_counts.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    res.synopses_ns = out.synopses_ns;
-    res.transform_ns = out.transform_ns;
-    res.keyed_cep_ns = out.keyed_cep_ns;
-    result.results.push_back(std::move(res));
-  }
+  DatacronEngine::EpochArena arena;
+  engine_.ProcessKeyedEpoch(batch.reports, &arena, &result.slots);
+  result.triples = std::move(arena.triples);
+  result.episodes = std::move(arena.episodes);
+  result.events = std::move(arena.events);
+  const auto by_id = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  result.tags.assign(arena.tags.begin(), arena.tags.end());
+  std::sort(result.tags.begin(), result.tags.end(), by_id);
+  result.node_geo.assign(arena.node_geo.begin(), arena.node_geo.end());
+  std::sort(result.node_geo.begin(), result.node_geo.end(), by_id);
+  result.sub_deltas = std::move(arena.sub_deltas);
+  arena.sub_counts.ForEach([&result](std::uint64_t id, const double& count) {
+    result.sub_counts.emplace_back(id, count);
+  });
+  std::sort(result.sub_counts.begin(), result.sub_counts.end(), by_id);
   if (dict->size() > result.dict_size_before) {
     // One coalesced dictionary delta for the whole epoch, in id (==
-    // intern) order; the per-report counts slice it back apart at the
-    // coordinator.
+    // intern) order.
     DATACRON_TRACE_SPAN("cluster.delta_export", "cluster");
     Result<std::vector<TermExport>> delta = dict->ExportRange(
         static_cast<TermId>(result.dict_size_before) + 1,

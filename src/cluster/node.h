@@ -18,10 +18,11 @@ namespace datacron {
 ///
 /// Protocol (see net/codec.h): on Serve() the node sends a Hello carrying
 /// its construction-time dictionary baseline, then answers each request
-/// until Shutdown or transport close. Reports of a batch are processed in
-/// batch order and each report's reply carries the dictionary delta it
-/// created — the coordinator needs per-report granularity to reproduce the
-/// serial engine's term-id assignment order.
+/// until Shutdown or transport close. The reports of a batch run in batch
+/// order into one EpochArena, shipped back with per-report slot
+/// watermarks and one coalesced dictionary delta; the slots' terms_end
+/// watermarks let the coordinator import that delta per report in global
+/// input order, which reproduces the serial engine's term-id assignment.
 ///
 /// The node must be constructed with the same Config as the coordinator's
 /// ClusterEngine: the dictionary baselines have to match for the

@@ -50,14 +50,19 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Exact-percentile collector: stores all samples, sorts on demand.
-/// Use for latency distributions in benchmarks (bounded sample counts).
+/// Exact-percentile collector: stores all samples, sorts on demand (and
+/// again after any Add). Use for latency distributions in benchmarks
+/// (bounded sample counts).
 class PercentileTracker {
  public:
-  void Add(double x) { samples_.push_back(x); }
+  void Add(double x) {
+    samples_.push_back(x);
+    sorted_ = false;
+  }
   std::size_t count() const { return samples_.size(); }
 
-  /// p in [0, 100]. Returns 0 when empty. Nearest-rank method.
+  /// p in [0, 100]. Returns 0 when empty. Linear interpolation between
+  /// the two closest ranks (rank = p/100 * (count - 1)).
   double Percentile(double p) const;
 
   double p50() const { return Percentile(50); }

@@ -67,23 +67,23 @@ std::size_t DatacronEngine::ShardOf(EntityId entity) const {
   return MixU64(entity) % shards_.size();
 }
 
-DatacronEngine::KeyedStats DatacronEngine::ProcessKeyedCore(
-    std::size_t shard_idx, const PositionReport& report,
-    const KeyedSink& sink) {
+void DatacronEngine::ProcessKeyedArena(std::size_t shard_idx,
+                                       const PositionReport& report,
+                                       ShardSlot* slot, EpochArena* arena) {
   Shard* shard = &shards_[shard_idx];
-  KeyedStats stats;
 
   // 1. In-situ processing: synopses.
   const std::int64_t t0 = MonotonicNanos();
   std::vector<CriticalPoint> cps;
   shard->detector.ProcessCounted(report, &cps);
-  stats.cp_count = cps.size();
   const std::int64_t t1 = MonotonicNanos();
 
   // 2. Data transformation: critical points (or everything) to RDF, and
   //    semantic-trajectory episodes derived from the synopsis.
   if (config_.rdfize_all_reports || !cps.empty()) {
-    TermSource* terms = sink.terms;
+    TermSource* terms = arena->terms != nullptr
+                            ? static_cast<TermSource*>(arena->terms.get())
+                            : &dict_;
 
     // Pre-seed the sink with this entity's RDF continuation state,
     // reconstructed by re-interning IRI text. Each IRI either already
@@ -106,18 +106,18 @@ DatacronEngine::KeyedStats DatacronEngine::ProcessKeyedCore(
     }
     Rdfizer::Sink rdf_sink;
     rdf_sink.terms = terms;
-    rdf_sink.tags = sink.tags;
-    rdf_sink.node_geo = sink.node_geo;
+    rdf_sink.tags = &arena->tags;
+    rdf_sink.node_geo = &arena->node_geo;
     rdf_sink.prev_node = &prev_node;
     rdf_sink.known_entities = &known;
 
     if (config_.rdfize_all_reports) {
-      rdfizer_->TransformReportInto(report, rdf_sink, sink.triples);
+      rdfizer_->TransformReportInto(report, rdf_sink, &arena->triples);
       shard->prev_node_ts[entity] = report.timestamp;
       shard->rdf_known.insert(entity);
     } else {
       for (const CriticalPoint& cp : cps) {
-        rdfizer_->TransformCriticalPointInto(cp, rdf_sink, sink.triples);
+        rdfizer_->TransformCriticalPointInto(cp, rdf_sink, &arena->triples);
         // Gap-start points carry the pre-gap report, so the last cp's
         // timestamp — not the report's — is the continuation point.
         shard->prev_node_ts[cp.report.entity_id] = cp.report.timestamp;
@@ -129,130 +129,39 @@ DatacronEngine::KeyedStats DatacronEngine::ProcessKeyedCore(
       shard->episode_builder.Process(cp, &completed);
     }
     for (const Episode& e : completed) {
-      rdfizer_->TransformEpisodeInto(e, rdf_sink, sink.triples);
+      rdfizer_->TransformEpisodeInto(e, rdf_sink, &arena->triples);
     }
-    sink.episodes->insert(sink.episodes->end(),
-                          std::make_move_iterator(completed.begin()),
-                          std::make_move_iterator(completed.end()));
+    arena->episodes.insert(arena->episodes.end(),
+                           std::make_move_iterator(completed.begin()),
+                           std::make_move_iterator(completed.end()));
   }
   const std::int64_t t2 = MonotonicNanos();
 
   // 4a. Keyed complex event recognition (global CEP runs in the absorb
   //     stage, which splices these events in after proximity).
-  shard->area_events.ProcessCounted(report, sink.events);
-  shard->loitering.ProcessCounted(report, sink.events);
-  shard->gap.ProcessCounted(report, sink.events);
-  shard->speed_anomaly.ProcessCounted(report, sink.events);
+  shard->area_events.ProcessCounted(report, &arena->events);
+  shard->loitering.ProcessCounted(report, &arena->events);
+  shard->gap.ProcessCounted(report, &arena->events);
+  shard->speed_anomaly.ProcessCounted(report, &arena->events);
 
   // 4c. Shard-local standing-query evaluation: geofence transitions and
-  //     hotspot count increments land in the shard's epoch sink and cross
-  //     the barrier only when a subscription fires.
-  if (subs_->keyed_active() && sink.sub_deltas != nullptr) {
-    subs_->EvalKeyed(shard_idx, report, sink.sub_deltas, sink.sub_counts);
+  //     hotspot count increments land in the shard's epoch arena and
+  //     cross the barrier only when a subscription fires.
+  if (subs_->keyed_active()) {
+    subs_->EvalKeyed(shard_idx, report, &arena->sub_deltas,
+                     &arena->sub_counts);
   }
 
-  stats.synopses_ns = t1 - t0;
-  stats.transform_ns = t2 - t1;
-  stats.keyed_cep_ns = MonotonicNanos() - t2;
-  return stats;
-}
-
-void DatacronEngine::ProcessKeyed(std::size_t shard,
-                                  const PositionReport& report,
-                                  TermSource* terms, ReportOutput* out) {
-  KeyedSink sink;
-  sink.terms = terms;
-  sink.triples = &out->triples;
-  sink.episodes = &out->episodes;
-  sink.events = &out->keyed_events;
-  sink.tags = &out->tags;
-  sink.node_geo = &out->node_geo;
-  sink.sub_deltas = &out->sub_deltas;
-  sink.sub_counts = &out->sub_counts;
-  const KeyedStats stats = ProcessKeyedCore(shard, report, sink);
-  out->cp_count = stats.cp_count;
-  out->synopses_ns = stats.synopses_ns;
-  out->transform_ns = stats.transform_ns;
-  out->keyed_cep_ns = stats.keyed_cep_ns;
-}
-
-void DatacronEngine::ProcessKeyedArena(std::size_t shard,
-                                       const PositionReport& report,
-                                       ShardSlot* slot, EpochArena* arena,
-                                       bool use_batch) {
-  KeyedSink sink;
-  sink.terms = &dict_;
-  if (use_batch) {
-    // One batch-local dictionary per shard-epoch; every report of the
-    // shard's epoch interns into it, so the merge cost is paid once per
-    // epoch, not once per report.
-    if (arena->terms == nullptr) {
-      arena->terms = std::make_unique<TermBatch>(&dict_);
-    }
-    sink.terms = arena->terms.get();
-  }
-  sink.triples = &arena->triples;
-  sink.episodes = &arena->episodes;
-  sink.events = &arena->events;
-  sink.tags = &arena->tags;
-  sink.node_geo = &arena->node_geo;
-  sink.sub_deltas = &arena->sub_deltas;
-  sink.sub_counts = &arena->sub_counts;
-  const KeyedStats stats = ProcessKeyedCore(shard, report, sink);
-  slot->shard = static_cast<std::uint32_t>(shard);
-  slot->cp_count = static_cast<std::uint32_t>(stats.cp_count);
-  slot->terms_end = arena->terms != nullptr ? arena->terms->local_size() : 0;
+  slot->cp_count = static_cast<std::uint32_t>(cps.size());
+  slot->terms_end = arena->terms != nullptr ? arena->terms->local_size()
+                                            : dict_.size();
   slot->triples_end = arena->triples.size();
   slot->episodes_end = arena->episodes.size();
   slot->events_end = arena->events.size();
   slot->subs_end = arena->sub_deltas.size();
-  slot->synopses_ns = stats.synopses_ns;
-  slot->transform_ns = stats.transform_ns;
-  slot->keyed_cep_ns = stats.keyed_cep_ns;
-}
-
-void DatacronEngine::AbsorbOutput(const PositionReport& report,
-                                  ReportOutput* out,
-                                  std::vector<Event>* events) {
-  ++reports_ingested_;
-  critical_points_ += out->cp_count;
-  reports_counter_->Add();
-  cp_counter_->Add(out->cp_count);
-
-  // 3. Trajectory management + absorption of the keyed outputs (ids are
-  //    already global on this path).
-  const std::int64_t t0 = MonotonicNanos();
-  triples_.insert(triples_.end(), out->triples.begin(), out->triples.end());
-  rdfizer_->AbsorbSideTables(out->tags, out->node_geo, {});
-  for (Episode& e : out->episodes) episodes_.push_back(std::move(e));
-  trajectories_.Add(report);
-  predictor_.Observe(report);
-  const std::int64_t t1 = MonotonicNanos();
-
-  // 4b. Global complex event recognition. The serial engine emits
-  //     proximity, area, loitering, gap, speed, capacity, hotspot per
-  //     report; keyed_events holds the middle four already in order.
-  const std::size_t prox_begin = events->size();
-  proximity_.ProcessCounted(report, events);
-  const std::size_t prox_end = events->size();
-  events->insert(events->end(), out->keyed_events.begin(),
-                 out->keyed_events.end());
-  if (capacity_ != nullptr) capacity_->ProcessCounted(report, events);
-  if (hotspots_ != nullptr) hotspots_->ProcessCounted(report, events);
-
-  // Subscription barrier feed, in input order: the report's shard-emitted
-  // deltas, its hotspot count increments, and the proximity events that
-  // can wake proximity subscriptions.
-  if (subs_->ever_active()) {
-    subs_->AddKeyedDeltas(out->sub_deltas);
-    subs_->AddHotspotCounts(out->sub_counts);
-    subs_->AddGlobalEvents(std::span<const Event>(
-        events->data() + prox_begin, prox_end - prox_begin));
-  }
-  const std::int64_t t2 = MonotonicNanos();
-
-  RecordReportLatencies(out->synopses_ns, out->transform_ns,
-                        out->keyed_cep_ns, t1 - t0, t2 - t1);
+  slot->synopses_ns = t1 - t0;
+  slot->transform_ns = t2 - t1;
+  slot->keyed_cep_ns = MonotonicNanos() - t2;
 }
 
 void DatacronEngine::RecordReportLatencies(std::int64_t synopses_ns,
@@ -276,52 +185,58 @@ void DatacronEngine::RecordReportLatencies(std::int64_t synopses_ns,
   cep_hist_->Observe(static_cast<double>(keyed_cep_ns + global_cep_ns));
 }
 
+std::vector<std::vector<TermId>> DatacronEngine::MergeEpochTerms(
+    std::span<const ShardSlot> slots, std::span<const EpochArena> arenas) {
+  // One coalesced dictionary merge for the whole epoch. Each report's new
+  // terms occupy the contiguous TermBatch slice between its predecessor's
+  // watermark and its own, so replaying those slices in input order
+  // reproduces serial first-occurrence id assignment exactly (cross-shard
+  // duplicates are idempotent re-interns).
+  DATACRON_TRACE_SPAN("engine.term_merge_epoch", "engine");
+  const std::size_t n = arenas.size();
+  std::vector<std::vector<TermId>> remaps(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    if (arenas[s].terms != nullptr) {
+      remaps[s].reserve(arenas[s].terms->local_size());
+    }
+  }
+  // remaps[s].size() is shard s's replay cursor: the next report's slice
+  // starts where the previous one ended.
+  std::size_t merged = 0;
+  for (const ShardSlot& slot : slots) {
+    const TermBatch* batch = arenas[slot.shard].terms.get();
+    if (batch == nullptr) continue;
+    std::vector<TermId>& remap = remaps[slot.shard];
+    for (std::size_t j = remap.size(); j < slot.terms_end; ++j) {
+      remap.push_back(dict_.Intern(batch->local_text(j),
+                                   batch->local_kind(j)));
+      ++merged;
+    }
+  }
+  merge_terms_counter_->Add(merged);
+  merge_terms_hist_->Observe(static_cast<double>(merged));
+  return remaps;
+}
+
 void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
-                                 std::span<ShardSlot> slots,
+                                 std::span<const ShardSlot> slots,
                                  std::span<EpochArena> arenas,
+                                 std::span<const std::vector<TermId>> remaps,
                                  std::vector<Event>* events,
                                  ThreadPool* pool) {
+  static const std::vector<TermId> kNoRemap;
   const std::size_t n = arenas.size();
 
-  // Phase 1 — one coalesced dictionary merge for the whole epoch. Each
-  // report's new terms occupy the contiguous TermBatch slice between its
-  // predecessor's watermark and its own, so replaying those slices in
-  // input order reproduces serial first-occurrence id assignment exactly
-  // (cross-shard duplicates are idempotent re-interns). remaps[s] maps
-  // shard s's batch-local ids to global ids.
-  std::vector<std::vector<TermId>> remaps(n);
-  {
-    DATACRON_TRACE_SPAN("engine.term_merge_epoch", "engine");
-    for (std::size_t s = 0; s < n; ++s) {
-      if (arenas[s].terms != nullptr) {
-        remaps[s].reserve(arenas[s].terms->local_size());
-      }
-    }
-    std::size_t merged = 0;
-    std::vector<std::size_t> cursor(n, 0);
-    for (const ShardSlot& slot : slots) {
-      const TermBatch* batch = arenas[slot.shard].terms.get();
-      if (batch == nullptr) continue;
-      std::vector<TermId>& remap = remaps[slot.shard];
-      for (std::size_t j = cursor[slot.shard]; j < slot.terms_end; ++j) {
-        remap.push_back(dict_.Intern(batch->local_text(j),
-                                     batch->local_kind(j)));
-      }
-      merged += slot.terms_end - cursor[slot.shard];
-      cursor[slot.shard] = slot.terms_end;
-    }
-    merge_terms_counter_->Add(merged);
-    merge_terms_hist_->Observe(static_cast<double>(merged));
-  }
-
-  // Phase 2 — columnar bulk remap, one pass per shard arena. Side tables
-  // are key→value overwrites whose shared keys always carry equal values
-  // (grid-cell tags) or are entity-owned (node geometry), so per-shard
-  // absorption is order-independent.
+  // Phase 2 — columnar bulk remap, one pass per shard arena (phase 1,
+  // which built `remaps`, is the only part that differs by source). Side
+  // tables are key→value overwrites whose shared keys always carry equal
+  // values (grid-cell tags) or are entity-owned (node geometry), so
+  // per-arena absorption is order-independent.
   for (std::size_t s = 0; s < n; ++s) {
     EpochArena& a = arenas[s];
-    if (!remaps[s].empty()) {
-      const std::vector<TermId>& remap = remaps[s];
+    const std::vector<TermId>& remap =
+        s < remaps.size() ? remaps[s] : kNoRemap;
+    if (!remap.empty()) {
       for (Triple& t : a.triples) {
         t.s = RemapTerm(t.s, remap);
         t.p = RemapTerm(t.p, remap);
@@ -329,7 +244,7 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
       }
     }
     if (!a.tags.empty() || !a.node_geo.empty()) {
-      rdfizer_->AbsorbSideTables(a.tags, a.node_geo, remaps[s]);
+      rdfizer_->AbsorbSideTables(a.tags, a.node_geo, remap);
     }
   }
 
@@ -358,39 +273,34 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
   // its proximity slice into the global sequences and run the remaining
   // cross-entity CEP per report, so triples/episodes/events land
   // byte-identically to a serial run.
-  std::vector<std::size_t> triple_cur(n, 0);
-  std::vector<std::size_t> episode_cur(n, 0);
-  std::vector<std::size_t> event_cur(n, 0);
-  std::vector<std::size_t> sub_cur(n, 0);
+  // prev[s] holds the watermarks of arena s's previous report: where the
+  // next report's slices start.
+  std::vector<ShardSlot> prev(n);
   const bool subs_active = subs_->ever_active();
   for (std::size_t i = 0; i < items.size(); ++i) {
     const PositionReport& report = items[i];
     const ShardSlot& slot = slots[i];
     EpochArena& a = arenas[slot.shard];
+    ShardSlot& from = prev[slot.shard];
     ++reports_ingested_;
     critical_points_ += slot.cp_count;
     reports_counter_->Add();
     cp_counter_->Add(slot.cp_count);
 
     const std::int64_t t0 = MonotonicNanos();
-    triples_.insert(triples_.end(),
-                    a.triples.begin() + triple_cur[slot.shard],
+    triples_.insert(triples_.end(), a.triples.begin() + from.triples_end,
                     a.triples.begin() + slot.triples_end);
-    triple_cur[slot.shard] = slot.triples_end;
-    for (std::size_t j = episode_cur[slot.shard]; j < slot.episodes_end;
-         ++j) {
+    for (std::size_t j = from.episodes_end; j < slot.episodes_end; ++j) {
       episodes_.push_back(std::move(a.episodes[j]));
     }
-    episode_cur[slot.shard] = slot.episodes_end;
     trajectories_.Add(report);
     predictor_.Observe(report);
     const std::int64_t t1 = MonotonicNanos();
 
     events->insert(events->end(), prox_events_.begin() + prox_offsets_[i],
                    prox_events_.begin() + prox_offsets_[i + 1]);
-    events->insert(events->end(), a.events.begin() + event_cur[slot.shard],
+    events->insert(events->end(), a.events.begin() + from.events_end,
                    a.events.begin() + slot.events_end);
-    event_cur[slot.shard] = slot.events_end;
     if (capacity_ != nullptr) capacity_->ProcessCounted(report, events);
     if (hotspots_ != nullptr) hotspots_->ProcessCounted(report, events);
 
@@ -400,14 +310,14 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
     // produces per report.
     if (subs_active) {
       subs_->AddKeyedDeltas(std::span<const SubDelta>(
-          a.sub_deltas.data() + sub_cur[slot.shard],
-          slot.subs_end - sub_cur[slot.shard]));
-      sub_cur[slot.shard] = slot.subs_end;
+          a.sub_deltas.data() + from.subs_end,
+          slot.subs_end - from.subs_end));
       subs_->AddGlobalEvents(std::span<const Event>(
           prox_events_.data() + prox_offsets_[i],
           prox_offsets_[i + 1] - prox_offsets_[i]));
     }
     const std::int64_t t2 = MonotonicNanos();
+    from = slot;
 
     RecordReportLatencies(slot.synopses_ns, slot.transform_ns,
                           slot.keyed_cep_ns, t1 - t0,
@@ -424,29 +334,26 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
 
 std::vector<Event> DatacronEngine::Ingest(const PositionReport& report) {
   DATACRON_TRACE_SPAN("engine.ingest", "engine");
+  // An epoch of one: interns straight into the engine dictionary (no
+  // phase 1), and AbsorbEpoch closes one subscription epoch per report.
   std::vector<Event> events;
-  ReportOutput out;
-  ProcessKeyed(ShardOf(report.entity_id), report, &dict_, &out);
-  AbsorbOutput(report, &out, &events);
-  // Serial ingest is the epoch-of-one degenerate case: every report ends
-  // a subscription epoch.
-  FlushSubscriptionEpoch(report.timestamp);
+  EpochArena arena;
+  ShardSlot slot;
+  ProcessKeyedArena(ShardOf(report.entity_id), report, &slot, &arena);
+  AbsorbEpoch(std::span<const PositionReport>(&report, 1),
+              std::span<const ShardSlot>(&slot, 1),
+              std::span<EpochArena>(&arena, 1), {}, &events, nullptr);
   return events;
 }
 
-void DatacronEngine::ProcessKeyedOnly(const PositionReport& report,
-                                      TermSource* terms, ReportOutput* out) {
-  ProcessKeyed(ShardOf(report.entity_id), report, terms, out);
-}
-
-void DatacronEngine::FlushSubscriptionEpoch(TimestampMs close_ts) {
-  if (subs_->ever_active()) subs_->CloseEpoch(close_ts);
-}
-
-void DatacronEngine::AbsorbKeyedOutput(const PositionReport& report,
-                                       ReportOutput* out,
-                                       std::vector<Event>* events) {
-  AbsorbOutput(report, out, events);
+void DatacronEngine::ProcessKeyedEpoch(std::span<const PositionReport> reports,
+                                       EpochArena* arena,
+                                       std::vector<ShardSlot>* slots) {
+  slots->assign(reports.size(), ShardSlot{});
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    ProcessKeyedArena(ShardOf(reports[i].entity_id), reports[i],
+                      &(*slots)[i], arena);
+  }
 }
 
 std::vector<Event> DatacronEngine::IngestBatch(
@@ -469,14 +376,22 @@ std::vector<Event> DatacronEngine::IngestBatch(
       [](const PositionReport& r) { return MixU64(r.entity_id); },
       [this, parallel](std::size_t shard, const PositionReport& r,
                        ShardSlot* slot, EpochArena* arena) {
-        ProcessKeyedArena(shard, r, slot, arena, parallel);
+        // One batch-local dictionary per shard-epoch; every report of the
+        // shard's epoch interns into it, so the merge cost is paid once
+        // per epoch, not once per report.
+        if (parallel && arena->terms == nullptr) {
+          arena->terms = std::make_unique<TermBatch>(&dict_);
+        }
+        slot->shard = static_cast<std::uint32_t>(shard);
+        ProcessKeyedArena(shard, r, slot, arena);
       },
       [this, &events, pool](std::span<const PositionReport> items,
                             std::span<ShardSlot> slots,
                             std::span<EpochArena> arenas) {
         // The CPA fan-out takes the pool whenever one exists — even a
         // single-shard run parallelizes the global stage.
-        AbsorbEpoch(items, slots, arenas, &events, pool);
+        AbsorbEpoch(items, slots, arenas, MergeEpochTerms(slots, arenas),
+                    &events, pool);
       });
   return events;
 }

@@ -133,8 +133,8 @@ class DatacronEngine {
   explicit DatacronEngine(Config config);
 
   /// Processes one report through all stages; returns the complex events
-  /// it triggered. This is the 1-shard special case of IngestBatch: the
-  /// report runs through its shard inline, then through the global stages.
+  /// it triggered. An epoch of one on IngestBatch's arena path: the report
+  /// runs through its shard inline, then through AbsorbEpoch.
   std::vector<Event> Ingest(const PositionReport& report);
 
   /// Processes a batch through the sharded runtime: keyed stages in
@@ -172,52 +172,82 @@ class DatacronEngine {
   /// FinishFromFlushes over this engine's own FlushKeyed().
   std::vector<Event> Finish();
 
-  // -- cluster seams (src/cluster) ------------------------------------
+  // -- keyed→global handoff ---------------------------------------------
   //
-  // A cluster node owns a DatacronEngine but drives only its keyed half
-  // (ProcessKeyedOnly against the node-local dictionary, FlushKeyed at
-  // end-of-stream); the coordinator owns another and drives only its
-  // global half (AbsorbKeyedOutput per report in input order,
-  // FinishFromFlushes over every node's flush). Serial Ingest/Finish are
-  // the two halves composed in one process, so cluster output is
-  // byte-identical by construction.
+  // The keyed half hands the global half exactly one unit: an EpochArena
+  // per (shard, epoch) plus one ShardSlot per report. IngestBatch fills
+  // one arena per local shard; serial Ingest is an epoch of one; a
+  // cluster node fills one arena for its whole sub-batch
+  // (ProcessKeyedEpoch against the node-local dictionary) and ships it to
+  // the coordinator, which resolves the node's term ids and calls
+  // AbsorbEpoch. FlushKeyed/FinishFromFlushes are the end-of-stream pair.
+  // Every path shares one absorb, so cluster output is byte-identical to
+  // a serial run by construction.
 
-  /// Everything the keyed stage produces for one report; carried from the
-  /// shard to the in-order global stage. All term ids are real dictionary
-  /// ids — a cluster node interns into its node-local dictionary and the
-  /// coordinator remaps through the epoch dictionary deltas before
-  /// absorbing. (The in-process parallel path does not use ReportOutput:
-  /// IngestBatch accumulates whole shard-epochs in EpochArena instead.)
-  struct ReportOutput {
-    std::size_t cp_count = 0;
-    std::vector<Event> keyed_events;
-    std::vector<Episode> episodes;
+  /// Per-(shard, epoch) accumulator: everything a shard's reports produce
+  /// lands in these contiguous buffers; ShardSlot watermarks cut them back
+  /// into per-report slices so the global stage can replay input order.
+  struct EpochArena {
+    /// Batch-local dictionary for every new term the shard's reports
+    /// intern this epoch (IngestBatch with real parallelism only; null
+    /// means the keyed stage interned straight into the engine
+    /// dictionary).
+    std::unique_ptr<TermBatch> terms;
     std::vector<Triple> triples;
+    std::vector<Episode> episodes;
+    std::vector<Event> events;  // keyed CEP events
     std::unordered_map<TermId, StTag> tags;
     std::unordered_map<TermId, NodeGeo> node_geo;
-    /// Subscription deltas the keyed evaluation emitted for this report
-    /// (geofence transitions) and the report's hotspot-count increments,
-    /// keyed by subscription id. Cluster nodes ship both; the coordinator
-    /// splices them into its epoch in global input order.
+    /// Subscription deltas in shard-report order (sliced per report via
+    /// ShardSlot::subs_end) and the epoch's hotspot counts by sub id.
     std::vector<SubDelta> sub_deltas;
     FlatHashMap<std::uint64_t, double> sub_counts;
+  };
+
+  /// Per-report slot: scalar results plus watermarks into the report's
+  /// EpochArena (buffer sizes *after* the report ran; the preceding
+  /// report's watermark in the same arena starts the slice).
+  struct ShardSlot {
+    /// Index of the report's arena in the epoch's arena span.
+    std::uint32_t shard = 0;
+    std::uint32_t cp_count = 0;
+    /// TermBatch::local_size() when the arena has a batch, else the size
+    /// of the dictionary the report interned into.
+    std::size_t terms_end = 0;
+    std::size_t triples_end = 0;
+    std::size_t episodes_end = 0;
+    std::size_t events_end = 0;
+    std::size_t subs_end = 0;
     std::int64_t synopses_ns = 0;
     std::int64_t transform_ns = 0;
     std::int64_t keyed_cep_ns = 0;
+
+    bool operator==(const ShardSlot&) const = default;
   };
 
-  /// Runs only the keyed half for one report, on the local shard its
-  /// entity hashes to, interning terms into `terms` (cluster nodes pass
-  /// their node-local dictionary). No global stage runs.
-  void ProcessKeyedOnly(const PositionReport& report, TermSource* terms,
-                        ReportOutput* out);
+  /// Keyed half of one epoch on a cluster node: runs every report on the
+  /// local shard its entity hashes to, interning into this engine's
+  /// dictionary, and accumulates all of them into `arena` with one slot
+  /// per report (slot.terms_end = dictionary size after the report). No
+  /// global stage runs.
+  void ProcessKeyedEpoch(std::span<const PositionReport> reports,
+                         EpochArena* arena, std::vector<ShardSlot>* slots);
 
-  /// Runs only the global half for one report, on the calling thread, in
-  /// input order. `out` must hold ids of this engine's dictionary (the
-  /// cluster coordinator remaps node-local ids through the epoch
-  /// dictionary deltas first).
-  void AbsorbKeyedOutput(const PositionReport& report, ReportOutput* out,
-                         std::vector<Event>* events);
+  /// Global half of one epoch, on the calling thread, in input order:
+  /// columnar remap of each arena through `remaps[s]` (batch-local ids
+  /// only; an empty span means every id is already this engine's), side
+  /// tables, one epoch-batched proximity run (candidate CPA pairs
+  /// evaluated cell-parallel on `pool`; null = inline), then an
+  /// input-order walk splicing per-report slices through the remaining
+  /// global CEP exactly like a serial run, and finally one subscription
+  /// epoch close. `slots[i]` belongs to `items[i]`; each arena's slots
+  /// must cut its buffers into consecutive slices (the cluster codec
+  /// validates a node's reply before it gets here).
+  void AbsorbEpoch(std::span<const PositionReport> items,
+                   std::span<const ShardSlot> slots,
+                   std::span<EpochArena> arenas,
+                   std::span<const std::vector<TermId>> remaps,
+                   std::vector<Event>* events, ThreadPool* pool);
 
   /// Drains this engine's keyed state (detector + builder flushes and the
   /// RDF continuation tables) without running any global stage or
@@ -236,17 +266,11 @@ class DatacronEngine {
 
   /// The standing-query registry evaluated inside this engine's shards.
   /// Register/unregister between ingest calls (control plane and data
-  /// plane are phased); deltas are coalesced and pushed at every epoch
-  /// barrier (IngestBatch) or after every report (serial Ingest, the
-  /// epoch-of-one degenerate case).
+  /// plane are phased); deltas are coalesced and pushed at the end of
+  /// every AbsorbEpoch — per IngestBatch epoch, per cluster epoch, and
+  /// after every report of serial Ingest (an epoch of one).
   SubscriptionRegistry* subscriptions() { return subs_.get(); }
   const SubscriptionRegistry* subscriptions() const { return subs_.get(); }
-
-  /// Closes the registry's current subscription epoch — the cluster
-  /// coordinator calls this once per global epoch after absorbing every
-  /// report (serial Ingest calls it internally). No-op while no
-  /// subscription was ever registered.
-  void FlushSubscriptionEpoch(TimestampMs close_ts);
 
   // -- component access -----------------------------------------------
 
@@ -340,86 +364,20 @@ class DatacronEngine {
 
   std::size_t ShardOf(EntityId entity) const;
 
-  /// Per-shard, per-epoch accumulator of the in-process parallel path:
-  /// the unit a shard hands to the global stage, one mailbox delivery per
-  /// shard per epoch. Everything a shard's reports produce lands in these
-  /// contiguous buffers; ShardSlot watermarks cut them back into
-  /// per-report slices so the global stage can replay input order.
-  struct EpochArena {
-    /// Batch-local dictionary for every new term the shard's reports
-    /// intern this epoch (null on the serial fallback, which interns
-    /// straight into the engine dictionary).
-    std::unique_ptr<TermBatch> terms;
-    std::vector<Triple> triples;
-    std::vector<Episode> episodes;
-    std::vector<Event> events;  // keyed CEP events
-    std::unordered_map<TermId, StTag> tags;
-    std::unordered_map<TermId, NodeGeo> node_geo;
-    /// Subscription deltas in shard-report order (sliced per report via
-    /// ShardSlot::subs_end) and the epoch's hotspot counts by sub id.
-    std::vector<SubDelta> sub_deltas;
-    FlatHashMap<std::uint64_t, double> sub_counts;
-  };
-
-  /// Per-report slot of the sharded runtime: scalar results plus
-  /// watermarks into the report's shard EpochArena (sizes *after* the
-  /// report ran; the preceding report's watermark starts the slice).
-  struct ShardSlot {
-    std::uint32_t shard = 0;
-    std::uint32_t cp_count = 0;
-    std::size_t terms_end = 0;
-    std::size_t triples_end = 0;
-    std::size_t episodes_end = 0;
-    std::size_t events_end = 0;
-    std::size_t subs_end = 0;
-    std::int64_t synopses_ns = 0;
-    std::int64_t transform_ns = 0;
-    std::int64_t keyed_cep_ns = 0;
-  };
-
-  /// Where one keyed-stage invocation writes: a ReportOutput's own
-  /// buffers (per-report paths) or the shard's EpochArena (IngestBatch).
-  struct KeyedSink {
-    TermSource* terms = nullptr;
-    std::vector<Triple>* triples = nullptr;
-    std::vector<Episode>* episodes = nullptr;
-    std::vector<Event>* events = nullptr;
-    std::unordered_map<TermId, StTag>* tags = nullptr;
-    std::unordered_map<TermId, NodeGeo>* node_geo = nullptr;
-    std::vector<SubDelta>* sub_deltas = nullptr;
-    FlatHashMap<std::uint64_t, double>* sub_counts = nullptr;
-  };
-
-  struct KeyedStats {
-    std::size_t cp_count = 0;
-    std::int64_t synopses_ns = 0;
-    std::int64_t transform_ns = 0;
-    std::int64_t keyed_cep_ns = 0;
-  };
-
-  /// Keyed stage: synopses, RDF transform, episode building, keyed CEP,
-  /// shard-local subscription evaluation — touches only shard `shard`'s
-  /// state and the sink.
-  KeyedStats ProcessKeyedCore(std::size_t shard, const PositionReport& report,
-                              const KeyedSink& sink);
-
-  /// ReportOutput-shaped keyed stage (Ingest, cluster nodes). `terms` is
-  /// the dictionary to intern into — never null.
-  void ProcessKeyed(std::size_t shard, const PositionReport& report,
-                    TermSource* terms, ReportOutput* out);
-
-  /// Arena-shaped keyed stage (IngestBatch): appends to the shard's
-  /// epoch arena and records the slot watermarks. With `use_batch` the
-  /// transform interns into the arena's TermBatch (created on first use);
-  /// otherwise straight into the engine dictionary (serial fallback).
+  /// The keyed stage for one report: synopses, RDF transform, episode
+  /// building, keyed CEP, shard-local subscription evaluation. Touches
+  /// only shard `shard`'s state and `arena`, interning into the arena's
+  /// TermBatch when it has one and into the engine dictionary otherwise,
+  /// and records the report's watermarks in `slot` (all but
+  /// slot->shard, which the caller owns).
   void ProcessKeyedArena(std::size_t shard, const PositionReport& report,
-                         ShardSlot* slot, EpochArena* arena, bool use_batch);
+                         ShardSlot* slot, EpochArena* arena);
 
-  /// Global stage for one report whose ids are already global: CEP,
-  /// triple/episode/side-table absorption, trajectory store, predictor,
-  /// latency accounting. Runs on the calling thread in input order.
-  void AbsorbOutput(const PositionReport& report, ReportOutput* out,
-                    std::vector<Event>* events);
+  /// Phase 1 of the in-process absorb: replays each report's TermBatch
+  /// sub-range in input order (serial first-occurrence id assignment) and
+  /// returns remaps[s], shard s's batch-local-to-global id table.
+  std::vector<std::vector<TermId>> MergeEpochTerms(
+      std::span<const ShardSlot> slots, std::span<const EpochArena> arenas);
 
   /// Folds one report's stage timings into the percentile trackers and
   /// the always-on registry histograms.
@@ -428,16 +386,6 @@ class DatacronEngine {
                              std::int64_t keyed_cep_ns,
                              std::int64_t trajectory_ns,
                              std::int64_t global_cep_ns);
-
-  /// Global stage for one whole epoch (IngestBatch): one coalesced term
-  /// merge per shard-epoch replayed in input order, columnar bulk remap
-  /// of each arena, one epoch-batched proximity run (candidate CPA pairs
-  /// evaluated cell-parallel on `pool`; null = inline), then an
-  /// input-order walk splicing per-report slices through the remaining
-  /// global CEP exactly like a serial run.
-  void AbsorbEpoch(std::span<const PositionReport> items,
-                   std::span<ShardSlot> slots, std::span<EpochArena> arenas,
-                   std::vector<Event>* events, ThreadPool* pool);
 
   Config config_;
   TermDictionary dict_;

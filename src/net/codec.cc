@@ -1,5 +1,6 @@
 #include "net/codec.h"
 
+#include <limits>
 #include <utility>
 
 namespace datacron {
@@ -277,8 +278,8 @@ Status Get(WireReader& r, EntityRdfContinuation* c) {
 
 // Forward declarations so the vector helpers can encode compound elements
 // whose Put/Get pairs are defined further down.
-void Put(WireWriter& w, const WireReportResult& res);
-Status Get(WireReader& r, WireReportResult* res);
+void Put(WireWriter& w, const DatacronEngine::ShardSlot& slot);
+Status Get(WireReader& r, DatacronEngine::ShardSlot* slot);
 void Put(WireWriter& w, const MetricsRow& row);
 Status Get(WireReader& r, MetricsRow* row);
 
@@ -298,35 +299,72 @@ Status GetVec(WireReader& r, std::vector<T>* v, std::size_t min_bytes) {
   return Status::OK();
 }
 
-void Put(WireWriter& w, const WireReportResult& res) {
-  w.U64(res.cp_count);
-  w.U64(res.new_term_count);
-  PutVec(w, res.keyed_events);
-  PutVec(w, res.episodes);
-  PutVec(w, res.triples);
-  PutVec(w, res.tags);
-  PutVec(w, res.node_geo);
-  PutVec(w, res.sub_deltas);
-  PutVec(w, res.sub_counts);
-  w.I64(res.synopses_ns);
-  w.I64(res.transform_ns);
-  w.I64(res.keyed_cep_ns);
+// `shard` is not encoded: it indexes the receiver's arena span, and the
+// coordinator assigns the node index itself.
+void Put(WireWriter& w, const DatacronEngine::ShardSlot& slot) {
+  w.U32(slot.cp_count);
+  w.U64(slot.terms_end);
+  w.U64(slot.triples_end);
+  w.U64(slot.episodes_end);
+  w.U64(slot.events_end);
+  w.U64(slot.subs_end);
+  w.I64(slot.synopses_ns);
+  w.I64(slot.transform_ns);
+  w.I64(slot.keyed_cep_ns);
 }
-constexpr std::size_t kMinResultBytes = 68;
+constexpr std::size_t kMinSlotBytes = 68;
 
-Status Get(WireReader& r, WireReportResult* res) {
-  DC_RET(r.U64(&res->cp_count));
-  DC_RET(r.U64(&res->new_term_count));
-  DC_RET(GetVec(r, &res->keyed_events, kMinEventBytes));
-  DC_RET(GetVec(r, &res->episodes, kMinEpisodeBytes));
-  DC_RET(GetVec(r, &res->triples, kMinTripleBytes));
-  DC_RET(GetVec(r, &res->tags, kMinTagBytes));
-  DC_RET(GetVec(r, &res->node_geo, kMinNodeGeoBytes));
-  DC_RET(GetVec(r, &res->sub_deltas, kMinSubDeltaBytes));
-  DC_RET(GetVec(r, &res->sub_counts, kMinSubCountBytes));
-  DC_RET(r.I64(&res->synopses_ns));
-  DC_RET(r.I64(&res->transform_ns));
-  DC_RET(r.I64(&res->keyed_cep_ns));
+Status Get(WireReader& r, DatacronEngine::ShardSlot* slot) {
+  DC_RET(r.U32(&slot->cp_count));
+  for (std::size_t* mark : {&slot->terms_end, &slot->triples_end,
+                            &slot->episodes_end, &slot->events_end,
+                            &slot->subs_end}) {
+    std::uint64_t v = 0;
+    DC_RET(r.U64(&v));
+    *mark = v;
+  }
+  DC_RET(r.I64(&slot->synopses_ns));
+  DC_RET(r.I64(&slot->transform_ns));
+  DC_RET(r.I64(&slot->keyed_cep_ns));
+  return Status::OK();
+}
+
+/// The slots of an epoch reply must cut its arena buffers into
+/// consecutive per-report slices: every watermark stays within its buffer
+/// and never goes backwards, and the last report ends exactly at each
+/// buffer's end (terms: at the node dictionary size after the epoch).
+Status ValidateSlots(const EpochResultMsg& msg) {
+  if (msg.dict_size_before >
+      std::numeric_limits<std::uint64_t>::max() - msg.new_terms.size()) {
+    return Status::ParseError("node dictionary size overflows");
+  }
+  const std::uint64_t ends[5] = {
+      msg.dict_size_before + msg.new_terms.size(), msg.triples.size(),
+      msg.episodes.size(), msg.events.size(), msg.sub_deltas.size()};
+  std::uint64_t prev[5] = {msg.dict_size_before, 0, 0, 0, 0};
+  for (const DatacronEngine::ShardSlot& slot : msg.slots) {
+    const std::uint64_t marks[5] = {slot.terms_end, slot.triples_end,
+                                    slot.episodes_end, slot.events_end,
+                                    slot.subs_end};
+    for (int k = 0; k < 5; ++k) {
+      if (marks[k] < prev[k]) {
+        return Status::ParseError("epoch slot watermark goes backwards");
+      }
+      if (marks[k] > ends[k]) {
+        return Status::ParseError("epoch slot watermark past its buffer");
+      }
+      prev[k] = marks[k];
+    }
+  }
+  if (prev[0] != ends[0]) {
+    return Status::ParseError(
+        "final terms_end != dict_size_before + new_terms");
+  }
+  for (int k = 1; k < 5; ++k) {
+    if (prev[k] != ends[k]) {
+      return Status::ParseError("epoch buffer not covered by its slots");
+    }
+  }
   return Status::OK();
 }
 
@@ -513,7 +551,14 @@ std::string Encode(const EpochResultMsg& msg) {
   WireWriter w = Envelope(MsgType::kEpochResult);
   w.I64(msg.epoch);
   w.U64(msg.dict_size_before);
-  PutVec(w, msg.results);
+  PutVec(w, msg.slots);
+  PutVec(w, msg.triples);
+  PutVec(w, msg.episodes);
+  PutVec(w, msg.events);
+  PutVec(w, msg.tags);
+  PutVec(w, msg.node_geo);
+  PutVec(w, msg.sub_deltas);
+  PutVec(w, msg.sub_counts);
   PutVec(w, msg.new_terms);
   return w.Take();
 }
@@ -609,9 +654,17 @@ Status Decode(const std::string& payload, EpochResultMsg* msg) {
   DC_RET(OpenEnvelope(r, MsgType::kEpochResult));
   DC_RET(r.I64(&msg->epoch));
   DC_RET(r.U64(&msg->dict_size_before));
-  DC_RET(GetVec(r, &msg->results, kMinResultBytes));
+  DC_RET(GetVec(r, &msg->slots, kMinSlotBytes));
+  DC_RET(GetVec(r, &msg->triples, kMinTripleBytes));
+  DC_RET(GetVec(r, &msg->episodes, kMinEpisodeBytes));
+  DC_RET(GetVec(r, &msg->events, kMinEventBytes));
+  DC_RET(GetVec(r, &msg->tags, kMinTagBytes));
+  DC_RET(GetVec(r, &msg->node_geo, kMinNodeGeoBytes));
+  DC_RET(GetVec(r, &msg->sub_deltas, kMinSubDeltaBytes));
+  DC_RET(GetVec(r, &msg->sub_counts, kMinSubCountBytes));
   DC_RET(GetVec(r, &msg->new_terms, kMinTermBytes));
-  return r.ExpectEnd();
+  DC_RET(r.ExpectEnd());
+  return ValidateSlots(*msg);
 }
 
 Status Decode(const std::string& payload, WatermarkMsg* msg) {

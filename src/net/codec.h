@@ -24,8 +24,9 @@ namespace datacron {
 ///                                   size, and the node dictionary's
 ///                                   construction-time baseline terms
 ///   coordinator -> ReportBatch      one per (epoch, node); may be empty
-///   node        -> EpochResult      keyed outputs + one coalesced
-///                                   dictionary delta for a nonempty batch
+///   node        -> EpochResult      the node's epoch arena + per-report
+///                                   slot watermarks + one coalesced
+///                                   dictionary delta, for a nonempty batch
 ///   node        -> Watermark        in place of EpochResult for an empty
 ///                                   batch: advances the epoch barrier
 ///   coordinator -> FlushRequest     end-of-stream
@@ -79,46 +80,38 @@ struct ReportBatchMsg {
   bool operator==(const ReportBatchMsg&) const = default;
 };
 
-/// DatacronEngine::ReportOutput flattened for the wire. The report's
-/// dictionary delta travels coalesced at the epoch level
-/// (EpochResultMsg::new_terms); `new_term_count` is this report's share of
-/// it, so the coordinator can slice the epoch delta back into per-report
-/// sub-ranges and import them interleaved in global input order. Side
-/// tables travel as id-sorted vectors so the encoded bytes are canonical
-/// regardless of hash-map iteration order.
-struct WireReportResult {
-  std::uint64_t cp_count = 0;
-  /// Number of EpochResultMsg::new_terms entries this report interned.
-  std::uint64_t new_term_count = 0;
-  std::vector<Event> keyed_events;
-  std::vector<Episode> episodes;
-  std::vector<Triple> triples;
-  std::vector<std::pair<TermId, StTag>> tags;
-  std::vector<std::pair<TermId, NodeGeo>> node_geo;
-  /// Subscription deltas the node's shard-local evaluation emitted for
-  /// this report, and the report's hotspot-count increments keyed by
-  /// subscription id (id-sorted so encoded bytes are canonical).
-  std::vector<SubDelta> sub_deltas;
-  std::vector<std::pair<std::uint64_t, double>> sub_counts;
-  std::int64_t synopses_ns = 0;
-  std::int64_t transform_ns = 0;
-  std::int64_t keyed_cep_ns = 0;
-
-  bool operator==(const WireReportResult&) const = default;
-};
-
+/// A node's reply to a nonempty ReportBatch: the node's EpochArena for
+/// the epoch (DatacronEngine::ProcessKeyedEpoch) flattened for the wire,
+/// plus one coalesced dictionary delta. All term ids are node-dictionary
+/// ids; the coordinator imports `new_terms` slot by slot in global input
+/// order and translates every id before absorbing. Side tables and hotspot
+/// counts travel id-sorted so the encoded bytes are canonical regardless
+/// of hash-map iteration order.
+///
+/// The decoder checks that the slots cut the buffers into consecutive
+/// per-report slices: watermarks never go backwards, never run past their
+/// buffer, and the last slot ends exactly at every buffer's end, with its
+/// terms_end equal to dict_size_before + new_terms.size().
 struct EpochResultMsg {
   std::int64_t epoch = 0;
   /// Node dictionary size before the first report of this epoch; the
   /// coordinator cross-checks it against its remap table to catch lost or
   /// reordered epochs.
   std::uint64_t dict_size_before = 0;
-  /// One entry per report of the epoch's sub-batch, in input order.
-  std::vector<WireReportResult> results;
-  /// One coalesced dictionary delta for the whole epoch: the contiguous
-  /// id range the node dictionary grew by, exported once per epoch in
-  /// intern order. Per-report shares are results[i].new_term_count, and
-  /// the counts sum to new_terms.size().
+  /// One slot per report of the sub-batch, in sub-batch order: watermarks
+  /// into the buffers below (terms_end = node dictionary size after the
+  /// report) and the report's keyed stage timings. `shard` is not on the
+  /// wire and decodes as 0.
+  std::vector<DatacronEngine::ShardSlot> slots;
+  std::vector<Triple> triples;
+  std::vector<Episode> episodes;
+  std::vector<Event> events;  // keyed CEP events
+  std::vector<std::pair<TermId, StTag>> tags;
+  std::vector<std::pair<TermId, NodeGeo>> node_geo;
+  std::vector<SubDelta> sub_deltas;
+  std::vector<std::pair<std::uint64_t, double>> sub_counts;
+  /// The contiguous id range the node dictionary grew by this epoch,
+  /// exported once in intern order.
   std::vector<TermExport> new_terms;
 
   bool operator==(const EpochResultMsg&) const = default;

@@ -13,7 +13,10 @@
 
 #include "cluster/local_cluster.h"
 #include "datacron/engine.h"
+#include "net/codec.h"
+#include "net/transport.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sources/adsb_generator.h"
 #include "sources/ais_generator.h"
 #include "stream/admission.h"
@@ -272,6 +275,126 @@ TEST(ClusterTest, FleetMetricsMergeAcrossNodes) {
   EXPECT_NE(report.value().find("cep-keyed"), std::string::npos);
   EXPECT_NE(report.value().find("cep-global"), std::string::npos);
   ASSERT_TRUE(cluster.value()->Stop().ok());
+}
+
+TEST(ClusterTest, MisbehavingNodeRepliesYieldStatusNotCrash) {
+  // A scripted node on the far end of a loopback pair: Hello with an empty
+  // dictionary baseline, then one well-framed but inconsistent epoch
+  // reply for the coordinator's one-report batch. Every case must surface
+  // as a non-OK Status from IngestBatch.
+  const PositionReport report = MixedStream().front();
+  const auto valid_reply = [] {
+    EpochResultMsg reply;
+    reply.epoch = 0;
+    reply.dict_size_before = 0;
+    reply.new_terms.push_back({"urn:t", TermKind::kIri});
+    reply.triples.push_back({1, 1, 1});
+    DatacronEngine::ShardSlot slot;
+    slot.terms_end = 1;
+    slot.triples_end = 1;
+    reply.slots.push_back(slot);
+    return reply;
+  };
+  struct Case {
+    const char* name;
+    EpochResultMsg reply;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"watermark overruns triples", valid_reply()});
+  cases.back().reply.slots[0].triples_end = 2;
+  cases.push_back({"term id outside node dictionary", valid_reply()});
+  cases.back().reply.triples[0].o = 7;
+  cases.push_back({"tag term id outside node dictionary", valid_reply()});
+  cases.back().reply.tags.push_back({9, StTag{}});
+  cases.push_back({"slot count differs from routed reports", valid_reply()});
+  cases.back().reply.slots.push_back(cases.back().reply.slots[0]);
+
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto [coord_end, node_end] = LoopbackTransport::CreatePair();
+    HelloMsg hello;
+    hello.node_id = 0;
+    hello.num_nodes = 1;
+    ASSERT_TRUE(node_end->Send(Encode(hello)).ok());
+    // Loopback sends never block, so the bad reply can be queued before
+    // the coordinator asks for it.
+    ASSERT_TRUE(node_end->Send(Encode(c.reply)).ok());
+
+    std::vector<std::unique_ptr<Transport>> nodes;
+    nodes.push_back(std::move(coord_end));
+    ClusterEngine::Options opts;
+    opts.engine = ClusterConfig();
+    ClusterEngine engine(opts, std::move(nodes));
+    Result<std::vector<Event>> events =
+        engine.IngestBatch(std::span<const PositionReport>(&report, 1));
+    EXPECT_FALSE(events.ok());
+
+    // The coordinator did send the batch the scripted node answered.
+    Result<std::string> sent = node_end->Recv();
+    ASSERT_TRUE(sent.ok());
+    ReportBatchMsg batch;
+    ASSERT_TRUE(Decode(sent.value(), &batch).ok());
+    EXPECT_EQ(batch.reports.size(), 1u);
+  }
+
+  // Sanity: the unmodified reply is accepted, so each case above failed
+  // for its own defect.
+  auto [coord_end, node_end] = LoopbackTransport::CreatePair();
+  HelloMsg hello;
+  hello.num_nodes = 1;
+  ASSERT_TRUE(node_end->Send(Encode(hello)).ok());
+  ASSERT_TRUE(node_end->Send(Encode(valid_reply())).ok());
+  std::vector<std::unique_ptr<Transport>> nodes;
+  nodes.push_back(std::move(coord_end));
+  ClusterEngine::Options opts;
+  opts.engine = ClusterConfig();
+  ClusterEngine engine(opts, std::move(nodes));
+  Result<std::vector<Event>> events =
+      engine.IngestBatch(std::span<const PositionReport>(&report, 1));
+  EXPECT_TRUE(events.ok()) << events.status().ToString();
+}
+
+TEST(ClusterTest, EpochAbsorbRunsTheEpochBatchedGlobalCep) {
+  // The coordinator absorbs node arenas through the same AbsorbEpoch as
+  // the in-process engine: one engine.global_cep_epoch span per cluster
+  // epoch, nested in that epoch's cluster.epoch_absorb span, next to the
+  // delta export/import spans the trace tooling expects.
+  const auto stream = MixedStream();
+  constexpr std::size_t kEpochSize = 128;
+  const std::size_t epochs = (stream.size() + kEpochSize - 1) / kEpochSize;
+  obs::TraceCollector::Discard();
+  obs::EnableTracing(true);
+  const RunOutputs run =
+      RunCluster(stream, 2, LocalCluster::Wire::kLoopback, kEpochSize);
+  obs::EnableTracing(false);
+  const std::vector<obs::TraceSpanRecord> spans =
+      obs::TraceCollector::Drain();
+  ExpectIdentical(RunSerial(stream), run);
+
+  std::vector<obs::TraceSpanRecord> absorbs;
+  std::vector<obs::TraceSpanRecord> globals;
+  bool saw_export = false;
+  bool saw_import = false;
+  for (const obs::TraceSpanRecord& s : spans) {
+    const std::string name = s.name;
+    if (name == "cluster.epoch_absorb") absorbs.push_back(s);
+    if (name == "engine.global_cep_epoch") globals.push_back(s);
+    saw_export |= name == "cluster.delta_export";
+    saw_import |= name == "cluster.delta_import";
+  }
+  EXPECT_TRUE(saw_export);
+  EXPECT_TRUE(saw_import);
+  ASSERT_EQ(absorbs.size(), epochs);
+  ASSERT_EQ(globals.size(), epochs);
+  for (const obs::TraceSpanRecord& g : globals) {
+    const auto parent = std::find_if(
+        absorbs.begin(), absorbs.end(), [&g](const obs::TraceSpanRecord& a) {
+          return a.tid == g.tid && a.epoch == g.epoch &&
+                 a.start_ns <= g.start_ns &&
+                 g.start_ns + g.dur_ns <= a.start_ns + a.dur_ns;
+        });
+    EXPECT_NE(parent, absorbs.end()) << "epoch " << g.epoch;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -260,6 +260,18 @@ TEST(PercentileTrackerTest, KnownPercentiles) {
   EXPECT_GT(t.p99(), 98.0);
 }
 
+TEST(PercentileTrackerTest, AddAfterReadResorts) {
+  // A read sorts the samples; samples added afterwards must be sorted
+  // into place before the next read, not interpolated as an unsorted tail.
+  PercentileTracker t;
+  for (int i = 10; i <= 19; ++i) t.Add(i);
+  EXPECT_DOUBLE_EQ(t.p50(), 14.5);
+  for (int i = 0; i <= 4; ++i) t.Add(i);
+  EXPECT_DOUBLE_EQ(t.p50(), 12.0);
+  EXPECT_DOUBLE_EQ(t.Percentile(0), 0.0);
+  EXPECT_DOUBLE_EQ(t.Max(), 19.0);
+}
+
 TEST(PercentileTrackerTest, EmptyReturnsZero) {
   PercentileTracker t;
   EXPECT_DOUBLE_EQ(t.p50(), 0.0);

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -91,51 +92,76 @@ TermExport RandTerm(Rng& rng) {
   return t;
 }
 
-WireReportResult RandResult(Rng& rng) {
-  WireReportResult res;
-  res.cp_count = rng.NextUint64() % 4;
-  res.new_term_count = rng.NextUint64() % 6;
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.keyed_events.push_back(RandEvent(rng));
+/// A random node epoch reply that is internally consistent, as the
+/// decoder demands: `reports` slots whose watermarks cut the arena
+/// buffers into consecutive per-report slices, whose last terms_end closes
+/// the coalesced dictionary delta, and whose term ids stay inside the node
+/// dictionary. Side tables are id-sorted like a node encodes them.
+EpochResultMsg RandEpochResult(Rng& rng, std::size_t reports) {
+  EpochResultMsg msg;
+  msg.epoch = rng.UniformInt(0, 1000);
+  msg.dict_size_before = rng.NextUint64() % 10000;
+  for (std::size_t r = 0; r < reports; ++r) {
+    for (std::int64_t i = rng.UniformInt(0, 3); i > 0; --i) {
+      msg.new_terms.push_back(RandTerm(rng));
+    }
+    const std::uint64_t dict_size =
+        msg.dict_size_before + msg.new_terms.size();
+    const auto term = [&rng, dict_size] {
+      return rng.NextUint64() % std::max<std::uint64_t>(dict_size, 1) + 1;
+    };
+    for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
+      msg.events.push_back(RandEvent(rng));
+    }
+    for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
+      msg.episodes.push_back(RandEpisode(rng));
+    }
+    for (std::int64_t i = rng.UniformInt(0, 4); i > 0; --i) {
+      msg.triples.push_back({term(), term(), term()});
+    }
+    for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
+      msg.tags.push_back(
+          {term(), StTag{{static_cast<std::int32_t>(rng.UniformInt(-50, 50)),
+                          static_cast<std::int32_t>(rng.UniformInt(-50, 50))},
+                         rng.UniformInt(0, 1000)}});
+    }
+    for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
+      msg.node_geo.push_back(
+          {term(), NodeGeo{rng.Uniform(-90, 90), rng.Uniform(-180, 180), 0.0,
+                           rng.UniformInt(0, 1'000'000)}});
+    }
+    for (std::int64_t i = rng.UniformInt(0, 3); i > 0; --i) {
+      SubDelta d;
+      d.sub = rng.NextUint64() % 100 + 1;
+      d.kind = static_cast<DeltaKind>(rng.UniformInt(0, 6));
+      d.entity = static_cast<EntityId>(rng.NextUint64());
+      d.time = rng.UniformInt(0, 1'000'000'000);
+      d.value = rng.Uniform(0, 1e6);
+      msg.sub_deltas.push_back(d);
+    }
+    DatacronEngine::ShardSlot slot;
+    slot.cp_count = static_cast<std::uint32_t>(rng.NextUint64() % 4);
+    slot.terms_end = dict_size;
+    slot.triples_end = msg.triples.size();
+    slot.episodes_end = msg.episodes.size();
+    slot.events_end = msg.events.size();
+    slot.subs_end = msg.sub_deltas.size();
+    slot.synopses_ns = rng.UniformInt(0, 1'000'000);
+    slot.transform_ns = rng.UniformInt(0, 1'000'000);
+    slot.keyed_cep_ns = rng.UniformInt(0, 1'000'000);
+    msg.slots.push_back(slot);
   }
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.episodes.push_back(RandEpisode(rng));
-  }
-  for (std::int64_t i = rng.UniformInt(0, 4); i > 0; --i) {
-    res.triples.push_back({rng.NextUint64() % 100 + 1,
-                           rng.NextUint64() % 100 + 1,
-                           rng.NextUint64() % 100 + 1});
-  }
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.tags.push_back(
-        {rng.NextUint64() % 100 + 1,
-         StTag{{static_cast<std::int32_t>(rng.UniformInt(-50, 50)),
-                static_cast<std::int32_t>(rng.UniformInt(-50, 50))},
-               rng.UniformInt(0, 1000)}});
-  }
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.node_geo.push_back(
-        {rng.NextUint64() % 100 + 1,
-         NodeGeo{rng.Uniform(-90, 90), rng.Uniform(-180, 180), 0.0,
-                 rng.UniformInt(0, 1'000'000)}});
-  }
-  for (std::int64_t i = rng.UniformInt(0, 3); i > 0; --i) {
-    SubDelta d;
-    d.sub = rng.NextUint64() % 100 + 1;
-    d.kind = static_cast<DeltaKind>(rng.UniformInt(0, 6));
-    d.entity = static_cast<EntityId>(rng.NextUint64());
-    d.time = rng.UniformInt(0, 1'000'000'000);
-    d.value = rng.Uniform(0, 1e6);
-    res.sub_deltas.push_back(d);
-  }
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.sub_counts.push_back({rng.NextUint64() % 100 + 1,
+  for (std::int64_t i = reports > 0 ? rng.UniformInt(0, 2) : 0; i > 0; --i) {
+    msg.sub_counts.push_back({rng.NextUint64() % 100 + 1,
                               static_cast<double>(rng.UniformInt(1, 50))});
   }
-  res.synopses_ns = rng.UniformInt(0, 1'000'000);
-  res.transform_ns = rng.UniformInt(0, 1'000'000);
-  res.keyed_cep_ns = rng.UniformInt(0, 1'000'000);
-  return res;
+  const auto by_id = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(msg.tags.begin(), msg.tags.end(), by_id);
+  std::sort(msg.node_geo.begin(), msg.node_geo.end(), by_id);
+  std::sort(msg.sub_counts.begin(), msg.sub_counts.end(), by_id);
+  return msg;
 }
 
 /// Valid by ValidateSpec — the Subscribe decoder validates, so round-trip
@@ -260,18 +286,10 @@ TEST(CodecTest, RoundTripPropertyOverRandomMessages) {
     }
     ExpectRoundTrip(batch);
 
-    EpochResultMsg result;
-    result.epoch = rng.UniformInt(0, 1000);
-    result.dict_size_before = rng.NextUint64() % 10000;
-    for (std::int64_t i = rng.UniformInt(0, 4); i > 0; --i) {
-      result.results.push_back(RandResult(rng));
-    }
-    // The coalesced per-epoch dictionary delta travels beside the
-    // per-report results.
-    for (std::int64_t i = rng.UniformInt(0, 8); i > 0; --i) {
-      result.new_terms.push_back(RandTerm(rng));
-    }
-    ExpectRoundTrip(result);
+    // A node's arena reply: slot watermarks, the arena buffers and the
+    // coalesced per-epoch dictionary delta.
+    ExpectRoundTrip(RandEpochResult(
+        rng, static_cast<std::size_t>(rng.UniformInt(0, 4))));
 
     WatermarkMsg wm;
     wm.epoch = rng.UniformInt(0, 1000);
@@ -458,12 +476,7 @@ TEST(CodecTest, MetricsRoundTripPreservesMergeBehavior) {
 
 TEST(CodecTest, TruncatedPayloadsAreRejectedAtEveryPrefix) {
   Rng rng(0x7A11);
-  EpochResultMsg result;
-  result.epoch = 3;
-  result.dict_size_before = 17;
-  result.results.push_back(RandResult(rng));
-  result.new_terms.push_back(RandTerm(rng));
-  ExpectTruncationRejected(result);
+  ExpectTruncationRejected(RandEpochResult(rng, 3));
 
   FlushResultMsg flush;
   flush.flush.critical_points.push_back(RandCriticalPoint(rng));
@@ -477,10 +490,7 @@ TEST(CodecTest, TruncatedPayloadsAreRejectedAtEveryPrefix) {
 
 TEST(CodecTest, CorruptedBytesNeverCrashTheDecoder) {
   Rng rng(0xBADF00D);
-  EpochResultMsg result;
-  result.epoch = 1;
-  for (int i = 0; i < 3; ++i) result.results.push_back(RandResult(rng));
-  const std::string payload = Encode(result);
+  const std::string payload = Encode(RandEpochResult(rng, 3));
 
   // Single-byte corruption at every offset: the decoder must return
   // (either outcome is legal for payload bytes — a flipped double is just
@@ -491,6 +501,57 @@ TEST(CodecTest, CorruptedBytesNeverCrashTheDecoder) {
     EpochResultMsg decoded;
     (void)Decode(corrupt, &decoded);
   }
+}
+
+TEST(CodecTest, EpochSlotWatermarksAreValidated) {
+  // The slots must cut the arena buffers into consecutive per-report
+  // slices; anything else is rejected at decode time, before the
+  // coordinator slices a buffer with it.
+  Rng rng(0x5107);
+  EpochResultMsg base;
+  do {
+    base = RandEpochResult(rng, 3);
+  } while (base.triples.empty() || base.new_terms.empty());
+  EpochResultMsg decoded;
+  ASSERT_TRUE(Decode(Encode(base), &decoded).ok());
+
+  const auto expect_rejected = [&decoded](const EpochResultMsg& bad,
+                                          const char* why) {
+    const Status s = Decode(Encode(bad), &decoded);
+    EXPECT_FALSE(s.ok()) << why;
+    EXPECT_NE(s.message().find(why), std::string::npos) << s.ToString();
+  };
+
+  EpochResultMsg overrun = base;
+  overrun.slots.back().triples_end = base.triples.size() + 1;
+  expect_rejected(overrun, "past its buffer");
+
+  EpochResultMsg backwards = base;
+  backwards.slots[1].events_end = 0;
+  backwards.slots[0].events_end = 1;
+  backwards.events.resize(std::max<std::size_t>(backwards.events.size(), 1));
+  backwards.slots[2].events_end = backwards.events.size();
+  expect_rejected(backwards, "goes backwards");
+
+  EpochResultMsg short_terms = base;
+  short_terms.new_terms.push_back(RandTerm(rng));
+  expect_rejected(short_terms, "final terms_end");
+
+  EpochResultMsg stale_base = base;
+  stale_base.dict_size_before += 1;
+  EXPECT_FALSE(Decode(Encode(stale_base), &decoded).ok());
+
+  EpochResultMsg uncovered = base;
+  uncovered.episodes.push_back(RandEpisode(rng));
+  expect_rejected(uncovered, "not covered");
+
+  EpochResultMsg wrapping = base;
+  wrapping.dict_size_before = ~std::uint64_t{0};
+  expect_rejected(wrapping, "overflows");
+
+  EpochResultMsg no_slots = base;
+  no_slots.slots.clear();
+  EXPECT_FALSE(Decode(Encode(no_slots), &decoded).ok());
 }
 
 TEST(CodecTest, StructuralCorruptionIsRejected) {
