@@ -37,6 +37,7 @@
 #include "rdf/rdfizer.h"
 #include "sources/ais_generator.h"
 #include "stream/window.h"
+#include "bench_nproc.h"
 
 namespace datacron {
 namespace {
@@ -342,6 +343,7 @@ void WriteSimdJson(const char* path, const std::vector<KernelRecord>& records,
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"experiment\": \"E12_simd_kernels\",\n");
+  std::fprintf(f, "  \"nproc\": %u,\n", Nproc());
   std::fprintf(f, "  \"backend\": \"%s\",\n  \"native_width\": %d,\n",
                simd::NativeBackendName(), simd::kNativeWidth);
   std::fprintf(f, "  \"kernels\": [\n");

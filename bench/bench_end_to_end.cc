@@ -23,8 +23,6 @@
 // ProcessBatch at 1/2/4/8 pool threads, byte-identity enforced) and the
 // CapacityMonitor incremental-vs-rescan comparison at two fleet sizes.
 // Emits BENCH_cep.json.
-#include <sched.h>
-
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -44,14 +42,18 @@
 #include "partition/partitioner.h"
 #include "query/engine.h"
 #include "sources/ais_generator.h"
+#include "bench_nproc.h"
 
 namespace datacron {
 namespace {
 
-void PrintStage(const char* name, const PercentileTracker& t) {
+/// Stage percentiles are log2-bucket midpoints (DatacronEngine::
+/// StageLatency), so each reads to within about ±25%.
+void PrintStage(const char* name, const DatacronEngine::StageLatency& t) {
   std::printf("  %-14s p50 %8.4f ms   p95 %8.4f ms   p99 %8.4f ms   max "
               "%8.3f ms\n",
-              name, t.p50(), t.p95(), t.p99(), t.Max());
+              name, t.Percentile(50), t.Percentile(95), t.p99(),
+              t.Percentile(100));
 }
 
 DatacronEngine::Config EngineConfig(std::size_t num_shards) {
@@ -83,18 +85,6 @@ struct BenchRecord {
 
 std::vector<BenchRecord> g_records;
 double g_trace_overhead_pct = 0.0;
-
-/// CPUs this process may run on — what `nproc` prints. BENCH_engine.json
-/// and BENCH_cluster.json record it so a speedup can be read against the
-/// cores it ran on.
-unsigned Nproc() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return static_cast<unsigned>(CPU_COUNT(&set));
-  }
-  return std::thread::hardware_concurrency();
-}
 
 void WriteJson(const char* path, std::size_t reports) {
   std::FILE* f = std::fopen(path, "w");
@@ -223,6 +213,7 @@ void WriteCepJson(const char* path, std::size_t reports) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"experiment\": \"E11_global_cep\",\n");
+  std::fprintf(f, "  \"nproc\": %u,\n", Nproc());
   std::fprintf(f, "  \"reports\": %zu,\n  \"proximity\": [\n", reports);
   for (std::size_t i = 0; i < g_cep_prox_records.size(); ++i) {
     const CepProximityRecord& r = g_cep_prox_records[i];

@@ -28,6 +28,7 @@
 #include "query/engine.h"
 #include "rdf/rdfizer.h"
 #include "sources/ais_generator.h"
+#include "bench_nproc.h"
 
 namespace datacron {
 namespace {
@@ -123,6 +124,7 @@ void WriteJson(const char* path, std::size_t triples) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"experiment\": \"E5_query\",\n");
+  std::fprintf(f, "  \"nproc\": %u,\n", Nproc());
   std::fprintf(f, "  \"triples\": %zu,\n  \"records\": [\n", triples);
   for (std::size_t i = 0; i < g_records.size(); ++i) {
     const BenchRecord& r = g_records[i];

@@ -31,6 +31,7 @@
 #include "sub/oracle.h"
 #include "sub/registry.h"
 #include "sub/subscription.h"
+#include "bench_nproc.h"
 
 namespace datacron {
 namespace {
@@ -304,6 +305,7 @@ void WriteJson(const char* path, std::span<const SubRecord> records,
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"experiment\": \"E13_subscriptions\",\n");
+  std::fprintf(f, "  \"nproc\": %u,\n", Nproc());
   std::fprintf(f, "  \"epoch_size\": %zu,\n  \"epochs\": %zu,\n", epoch_size,
                epochs);
   std::fprintf(f, "  \"entities\": %zu,\n  \"records\": [\n", kEntities);

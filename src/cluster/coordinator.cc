@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/flat_hash.h"
-#include "net/codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -49,6 +48,79 @@ Status ImportArena(EpochResultMsg reply, const std::vector<TermId>& remap,
   return Status::OK();
 }
 
+/// The EpochDriver executor of the cluster: Deliver sends each node its
+/// sub-batch; Await receives and checks one reply per node, so a
+/// misbehaving node yields a Status before the global stage runs.
+struct TransportExecutor {
+  using Payload = std::vector<EpochResultMsg>;
+  using Epoch = DrivenEpoch<PositionReport, Payload>;
+
+  /// Every node receives every epoch (possibly empty) so its reply stream
+  /// stays aligned with the epoch sequence and the barrier can release.
+  Status Deliver(Epoch& e) {
+    obs::TraceSpan send_span("cluster.epoch_send", "cluster");
+    send_span.set_epoch(e.id);
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+      ReportBatchMsg msg;
+      msg.epoch = e.id;
+      msg.reports.reserve(e.by_part[n].size());
+      for (std::uint32_t idx : e.by_part[n]) {
+        msg.reports.push_back(e.items[idx]);
+      }
+      if (Status s = nodes[n]->Send(Encode(msg)); !s.ok()) return s;
+    }
+    return Status::OK();
+  }
+
+  bool Passed(const Epoch&) const { return false; }  // Recv would block
+
+  Status Await(Epoch& e) {
+    obs::ScopedTraceContext trace_ctx(e.id);
+    DATACRON_TRACE_SPAN("cluster.epoch_recv", "cluster");
+    std::vector<EpochResultMsg>& replies = e.payload;
+    replies.resize(nodes.size());
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+      Result<std::string> payload = nodes[n]->Recv();
+      if (!payload.ok()) return payload.status();
+      MsgType type;
+      if (Status s = DecodeType(payload.value(), &type); !s.ok()) return s;
+      if (type == MsgType::kWatermark) {
+        WatermarkMsg wm;
+        if (Status s = Decode(payload.value(), &wm); !s.ok()) return s;
+        if (wm.epoch != e.id) {
+          return Status::Internal("epoch watermark out of order");
+        }
+        if (!e.by_part[n].empty()) {
+          return Status::Internal("watermark reply for a nonempty sub-batch");
+        }
+        replies[n].epoch = wm.epoch;
+      } else {
+        if (Status s = Decode(payload.value(), &replies[n]); !s.ok()) return s;
+        if (replies[n].epoch != e.id) {
+          return Status::Internal("epoch result out of order");
+        }
+        if (replies[n].dict_size_before != remap[n].size()) {
+          return Status::Internal("node dictionary delta stream out of sync");
+        }
+        if (replies[n].slots.size() != e.by_part[n].size()) {
+          return Status::Internal("epoch slot count mismatch");
+        }
+      }
+      watermarks->Advance(n, e.id);
+    }
+    if (!watermarks->AllPassed(e.id)) {
+      return Status::Internal("epoch barrier did not release");
+    }
+    return Status::OK();
+  }
+
+  void Quiesce() {}  // every node call is blocking
+
+  std::span<const std::unique_ptr<Transport>> nodes;
+  std::span<const std::vector<TermId>> remap;
+  EpochWatermarks* watermarks;
+};
+
 }  // namespace
 
 ClusterEngine::ClusterEngine(Options opts,
@@ -56,12 +128,9 @@ ClusterEngine::ClusterEngine(Options opts,
     : opts_(std::move(opts)),
       local_(opts_.engine),
       nodes_(std::move(nodes)),
-      watermarks_(nodes_.size()) {
-  if (opts_.engine.epoch_size == 0) opts_.engine.epoch_size = 1;
-  if (opts_.engine.max_epochs_in_flight == 0) {
-    opts_.engine.max_epochs_in_flight = 1;
-  }
-}
+      watermarks_(nodes_.size()),
+      driver_(EpochWindow(opts_.engine.epoch_size,
+                          opts_.engine.max_epochs_in_flight)) {}
 
 Status ClusterEngine::Connect() {
   if (connected_) return Status::OK();
@@ -100,48 +169,11 @@ Status ClusterEngine::Connect() {
   return Status::OK();
 }
 
-Status ClusterEngine::RetireFront(std::deque<PendingEpoch>* ring,
-                                  std::vector<Event>* events) {
-  PendingEpoch& e = ring->front();
+Status ClusterEngine::AbsorbReplies(
+    DrivenEpoch<PositionReport, std::vector<EpochResultMsg>>& e,
+    std::vector<Event>* events) {
   const std::size_t n_nodes = nodes_.size();
-  obs::ScopedTraceContext trace_ctx(e.id);
-
-  obs::TraceSpan recv_span("cluster.epoch_recv", "cluster");
-  std::vector<EpochResultMsg> replies(n_nodes);
-  for (std::size_t n = 0; n < n_nodes; ++n) {
-    Result<std::string> payload = nodes_[n]->Recv();
-    if (!payload.ok()) return payload.status();
-    MsgType type;
-    if (Status s = DecodeType(payload.value(), &type); !s.ok()) return s;
-    if (type == MsgType::kWatermark) {
-      WatermarkMsg wm;
-      if (Status s = Decode(payload.value(), &wm); !s.ok()) return s;
-      if (wm.epoch != e.id) {
-        return Status::Internal("epoch watermark out of order");
-      }
-      if (!e.routing.by_part[n].empty()) {
-        return Status::Internal("watermark reply for a nonempty sub-batch");
-      }
-      replies[n].epoch = wm.epoch;
-    } else {
-      if (Status s = Decode(payload.value(), &replies[n]); !s.ok()) return s;
-      if (replies[n].epoch != e.id) {
-        return Status::Internal("epoch result out of order");
-      }
-      if (replies[n].dict_size_before != remap_[n].size()) {
-        return Status::Internal("node dictionary delta stream out of sync");
-      }
-      if (replies[n].slots.size() != e.routing.by_part[n].size()) {
-        return Status::Internal("epoch slot count mismatch");
-      }
-    }
-    watermarks_.Advance(n, e.id);
-  }
-  if (!watermarks_.AllPassed(e.id)) {
-    return Status::Internal("epoch barrier did not release");
-  }
-  recv_span.End();
-
+  std::vector<EpochResultMsg>& replies = e.payload;
   static obs::Counter* delta_terms_counter =
       obs::MetricsRegistry::Global().counter("cluster.delta_terms");
   DATACRON_TRACE_SPAN("cluster.epoch_absorb", "cluster");
@@ -149,7 +181,7 @@ Status ClusterEngine::RetireFront(std::deque<PendingEpoch>* ring,
   // Slots in global input order; each node's arena is shard n.
   std::vector<DatacronEngine::ShardSlot> slots(e.items.size());
   for (std::size_t n = 0; n < n_nodes; ++n) {
-    const std::vector<std::uint32_t>& part = e.routing.by_part[n];
+    const std::vector<std::uint32_t>& part = e.by_part[n];
     for (std::size_t k = 0; k < part.size(); ++k) {
       slots[part[k]] = replies[n].slots[k];
       slots[part[k]].shard = static_cast<std::uint32_t>(n);
@@ -184,7 +216,6 @@ Status ClusterEngine::RetireFront(std::deque<PendingEpoch>* ring,
     }
   }
   local_.AbsorbEpoch(e.items, slots, arenas, {}, events, nullptr);
-  ring->pop_front();
   return Status::OK();
 }
 
@@ -236,60 +267,22 @@ Status ClusterEngine::Unsubscribe(SubscriptionId id) {
 Result<std::vector<Event>> ClusterEngine::IngestBatch(
     std::span<const PositionReport> reports) {
   if (Status s = Connect(); !s.ok()) return s;
-  const std::size_t n_nodes = nodes_.size();
   std::vector<Event> events;
-  std::deque<PendingEpoch> ring;
-  Status failure = Status::OK();
-  std::int64_t epochs = 0;
-
-  ForEachEpoch(reports.size(), opts_.engine.epoch_size,
-               [&](std::int64_t id, std::size_t pos, std::size_t len) {
-    if (!failure.ok()) return;
-    while (ring.size() >= opts_.engine.max_epochs_in_flight) {
-      if (Status s = RetireFront(&ring, &events); !s.ok()) {
-        failure = s;
-        return;
-      }
-    }
-    PendingEpoch e;
-    e.id = next_epoch_ + id;
-    e.items = reports.subspan(pos, len);
-    e.routing = EpochRouting::Build(
-        e.items, n_nodes,
-        [](const PositionReport& r) { return MixU64(r.entity_id); });
-    // Every node receives every epoch (possibly empty) so its reply
-    // stream stays aligned with the epoch sequence and the watermark
-    // barrier can release.
-    obs::TraceSpan send_span("cluster.epoch_send", "cluster");
-    send_span.set_epoch(e.id);
-    for (std::size_t n = 0; n < n_nodes; ++n) {
-      ReportBatchMsg msg;
-      msg.epoch = e.id;
-      msg.reports.reserve(e.routing.by_part[n].size());
-      for (std::uint32_t idx : e.routing.by_part[n]) {
-        msg.reports.push_back(e.items[idx]);
-      }
-      if (Status s = nodes_[n]->Send(Encode(msg)); !s.ok()) {
-        failure = s;
-        return;
-      }
-    }
-    ring.push_back(std::move(e));
-    epochs = id + 1;
-  });
-  if (!failure.ok()) return failure;
-  while (!ring.empty()) {
-    if (Status s = RetireFront(&ring, &events); !s.ok()) return s;
-  }
-  next_epoch_ += epochs;
+  TransportExecutor exec{nodes_, remap_, &watermarks_};
+  Status s = driver_.Run(
+      reports, nodes_.size(),
+      [](const PositionReport& r) { return MixU64(r.entity_id); }, exec,
+      [this, &events](TransportExecutor::Epoch& e) {
+        return AbsorbReplies(e, &events);
+      });
+  if (!s.ok()) return s;
   return events;
 }
 
 Result<std::vector<Event>> ClusterEngine::IngestFromQueue(
     AdmissionQueue<PositionReport>* queue) {
   std::vector<Event> events;
-  const std::size_t batch_max =
-      opts_.engine.epoch_size * opts_.engine.max_epochs_in_flight;
+  const std::size_t batch_max = driver_.window().items();
   for (;;) {
     std::vector<PositionReport> batch = queue->PopBatch(batch_max);
     if (batch.empty()) break;  // closed and drained

@@ -2,13 +2,13 @@
 #define DATACRON_CLUSTER_COORDINATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "datacron/engine.h"
+#include "net/codec.h"
 #include "net/transport.h"
 #include "stream/epoch.h"
 
@@ -26,7 +26,7 @@ namespace datacron {
 ///  - Routing is entity-sticky: node = MixU64(entity) % N, so each
 ///    entity's whole subsequence is processed by one node in input order —
 ///    the same per-key subsequence the in-process ShardedRuntime feeds a
-///    shard (stream/epoch.h is the shared contract).
+///    shard (both run the EpochDriver of stream/epoch.h).
 ///  - Each node runs its sub-batch into one EpochArena, interning into
 ///    its own dictionary, and replies with the arena, per-report slot
 ///    watermarks and one coalesced dictionary delta. The coordinator
@@ -118,18 +118,12 @@ class ClusterEngine {
   const DatacronEngine& engine() const { return local_; }
 
  private:
-  /// One routed-but-unmerged epoch in the in-flight window.
-  struct PendingEpoch {
-    std::int64_t id = 0;
-    std::span<const PositionReport> items;
-    EpochRouting routing;
-  };
-
-  /// Receives every node's arena reply for the front epoch, advances the
-  /// watermark barrier, imports the dictionary deltas in input order, and
-  /// absorbs the node arenas through DatacronEngine::AbsorbEpoch.
-  Status RetireFront(std::deque<PendingEpoch>* ring,
-                     std::vector<Event>* events);
+  /// The global stage of one epoch whose node replies all arrived:
+  /// imports the dictionary deltas in input order and absorbs the node
+  /// arenas through DatacronEngine::AbsorbEpoch.
+  Status AbsorbReplies(
+      DrivenEpoch<PositionReport, std::vector<EpochResultMsg>>& e,
+      std::vector<Event>* events);
 
   /// Sends `frame` to every node and collects one SubAck from each.
   Status BroadcastSubControl(const std::string& frame);
@@ -141,9 +135,9 @@ class ClusterEngine {
   /// node's dense dictionary id i+1. Extended by each imported delta.
   std::vector<std::vector<TermId>> remap_;
   EpochWatermarks watermarks_;
-  /// Epochs are numbered globally across IngestBatch calls so the
-  /// watermark barrier stays monotonic over the whole session.
-  std::int64_t next_epoch_ = 0;
+  /// One driver per session: epoch ids continue across IngestBatch calls
+  /// so the watermark barrier stays monotonic.
+  EpochDriver driver_;
   bool connected_ = false;
 };
 

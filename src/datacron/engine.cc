@@ -169,13 +169,12 @@ void DatacronEngine::RecordReportLatencies(std::int64_t synopses_ns,
                                            std::int64_t keyed_cep_ns,
                                            std::int64_t trajectory_ns,
                                            std::int64_t global_cep_ns) {
-  latencies_.synopses_ms.Add(synopses_ns / 1e6);
-  latencies_.transform_ms.Add(transform_ns / 1e6);
-  latencies_.trajectory_ms.Add(trajectory_ns / 1e6);
-  latencies_.cep_ms.Add((keyed_cep_ns + global_cep_ns) / 1e6);
-  latencies_.total_ms.Add((synopses_ns + transform_ns + keyed_cep_ns +
-                           trajectory_ns + global_cep_ns) /
-                          1e6);
+  latencies_.synopses_ms.AddNanos(synopses_ns);
+  latencies_.transform_ms.AddNanos(transform_ns);
+  latencies_.trajectory_ms.AddNanos(trajectory_ns);
+  latencies_.cep_ms.AddNanos(keyed_cep_ns + global_cep_ns);
+  latencies_.total_ms.AddNanos(synopses_ns + transform_ns + keyed_cep_ns +
+                               trajectory_ns + global_cep_ns);
 
   // Always-on per-stage epoch timeline in the unified registry; two
   // relaxed adds per stage per report.
@@ -359,12 +358,9 @@ void DatacronEngine::ProcessKeyedEpoch(std::span<const PositionReport> reports,
 std::vector<Event> DatacronEngine::IngestBatch(
     std::span<const PositionReport> reports, ThreadPool* pool) {
   std::vector<Event> events;
-  using Runtime = ShardedRuntime<PositionReport, ShardSlot, EpochArena>;
-  typename Runtime::Options opts;
-  opts.num_shards = shards_.size();
-  opts.epoch_size = config_.epoch_size;
-  opts.max_epochs_in_flight = config_.max_epochs_in_flight;
-  Runtime runtime(opts);
+  ShardedRuntime<PositionReport, ShardSlot, EpochArena> runtime(
+      shards_.size(),
+      EpochWindow(config_.epoch_size, config_.max_epochs_in_flight));
 
   // Without real parallelism, intern straight into the global dictionary
   // (no TermBatch indirection); the runtime routes by the same key and
@@ -649,9 +645,9 @@ obs::MetricsSnapshot DatacronEngine::MetricsSnapshot() const {
 std::unique_ptr<AdmissionQueue<PositionReport>>
 DatacronEngine::NewAdmissionQueue() const {
   AdmissionQueue<PositionReport>::Options opts;
-  opts.capacity = config_.admission_capacity != 0
-                      ? config_.admission_capacity
-                      : config_.epoch_size * config_.max_epochs_in_flight;
+  const EpochWindow window(config_.epoch_size, config_.max_epochs_in_flight);
+  opts.capacity = config_.admission_capacity != 0 ? config_.admission_capacity
+                                                  : window.items();
   opts.policy = config_.admission;
   opts.drop_key = [](const PositionReport& r) {
     return static_cast<std::uint64_t>(r.entity_id);
@@ -663,8 +659,8 @@ std::vector<Event> DatacronEngine::IngestFromQueue(
     AdmissionQueue<PositionReport>* queue, ThreadPool* pool) {
   std::vector<Event> events;
   for (;;) {
-    const std::vector<PositionReport> batch =
-        queue->PopBatch(config_.epoch_size * config_.max_epochs_in_flight);
+    const std::vector<PositionReport> batch = queue->PopBatch(
+        EpochWindow(config_.epoch_size, config_.max_epochs_in_flight).items());
     if (batch.empty()) break;  // closed and drained
     const std::vector<Event> evs = IngestBatch(batch, pool);
     events.insert(events.end(), evs.begin(), evs.end());

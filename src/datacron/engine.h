@@ -297,12 +297,25 @@ class DatacronEngine {
 
   // -- per-stage ms latency -------------------------------------------
 
+  /// One stage's per-report wall time in ms, kept as a nanosecond
+  /// LogHistogram: O(1) memory, and const reads never mutate.
+  /// Percentiles are log2-bucket midpoints (about ±25%).
+  class StageLatency {
+   public:
+    void AddNanos(std::int64_t ns) { ns_.Add(static_cast<double>(ns)); }
+    std::size_t count() const { return ns_.count(); }
+    double Percentile(double p) const { return ns_.Percentile(p) / 1e6; }
+    double p99() const { return Percentile(99); }
+   private:
+    LogHistogram ns_;
+  };
+
   struct StageLatencies {
-    PercentileTracker synopses_ms;
-    PercentileTracker transform_ms;
-    PercentileTracker cep_ms;
-    PercentileTracker trajectory_ms;
-    PercentileTracker total_ms;
+    StageLatency synopses_ms;
+    StageLatency transform_ms;
+    StageLatency cep_ms;
+    StageLatency trajectory_ms;
+    StageLatency total_ms;
   };
   const StageLatencies& latencies() const { return latencies_; }
 
@@ -379,8 +392,8 @@ class DatacronEngine {
   std::vector<std::vector<TermId>> MergeEpochTerms(
       std::span<const ShardSlot> slots, std::span<const EpochArena> arenas);
 
-  /// Folds one report's stage timings into the percentile trackers and
-  /// the always-on registry histograms.
+  /// Folds one report's stage timings into latencies() and the always-on
+  /// registry histograms.
   void RecordReportLatencies(std::int64_t synopses_ns,
                              std::int64_t transform_ns,
                              std::int64_t keyed_cep_ns,

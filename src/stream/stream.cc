@@ -35,7 +35,6 @@ namespace {
   queue.Close();
   EpochWatermarks marks(2);
   marks.Advance(0, 0);
-  ForEachEpoch(4, 2, [&](std::int64_t, std::size_t, std::size_t) {});
 }
 }  // namespace
 }  // namespace datacron

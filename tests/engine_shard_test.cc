@@ -1,20 +1,25 @@
 // Byte-identity of the sharded engine runtime: IngestBatch at any shard
 // count must reproduce the serial Ingest loop exactly — events, triples,
 // episodes, trajectories and dictionary ids. Also unit-covers the
-// ShardedRuntime scheduling invariants and OperatorMetrics::Merge.
+// EpochDriver loop (with a fake executor), the ShardedRuntime scheduling
+// invariants and OperatorMetrics::Merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "datacron/engine.h"
 #include "sources/adsb_generator.h"
 #include "sources/ais_generator.h"
+#include "stream/epoch.h"
 #include "stream/operator.h"
 #include "stream/sharded_runtime.h"
 
@@ -37,11 +42,7 @@ TEST(ShardedRuntimeTest, GlobalStageSeesInputOrderAndKeyedRoutingHolds) {
     input[i] = static_cast<int>(i);
   }
 
-  ShardedRuntime<int, SlotRecord>::Options opts;
-  opts.num_shards = kShards;
-  opts.epoch_size = 16;
-  opts.max_epochs_in_flight = 2;
-  ShardedRuntime<int, SlotRecord> runtime(opts);
+  ShardedRuntime<int, SlotRecord> runtime(kShards, EpochWindow(16, 2));
 
   // Keyed state: one counter per shard, touched only by its own shard.
   std::vector<std::size_t> shard_seq(kShards, 0);
@@ -76,10 +77,7 @@ TEST(ShardedRuntimeTest, GlobalStageSeesInputOrderAndKeyedRoutingHolds) {
 }
 
 TEST(ShardedRuntimeTest, SerialFallbackStillRoutesByKey) {
-  ShardedRuntime<int, std::size_t>::Options opts;
-  opts.num_shards = 4;
-  opts.epoch_size = 8;
-  ShardedRuntime<int, std::size_t> runtime(opts);
+  ShardedRuntime<int, std::size_t> runtime(4, EpochWindow(8, 4));
 
   std::vector<int> input = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
   std::vector<std::size_t> shards_seen;
@@ -97,10 +95,7 @@ TEST(ShardedRuntimeTest, SerialFallbackStillRoutesByKey) {
 }
 
 TEST(ShardedRuntimeTest, KeyedExceptionPropagatesWithoutHanging) {
-  ShardedRuntime<int, int>::Options opts;
-  opts.num_shards = 3;
-  opts.epoch_size = 4;
-  ShardedRuntime<int, int> runtime(opts);
+  ShardedRuntime<int, int> runtime(3, EpochWindow(4, 4));
 
   std::vector<int> input(64);
   for (std::size_t i = 0; i < input.size(); ++i) {
@@ -125,10 +120,8 @@ TEST(ShardedRuntimeTest, ArenasAccumulatePerShardPerEpoch) {
     std::size_t shard = 0;
     std::size_t end = 0;  // arena size after this item ran
   };
-  ShardedRuntime<int, Watermark, std::vector<int>>::Options opts;
-  opts.num_shards = 3;
-  opts.epoch_size = 10;
-  ShardedRuntime<int, Watermark, std::vector<int>> runtime(opts);
+  ShardedRuntime<int, Watermark, std::vector<int>> runtime(3,
+                                                          EpochWindow(10, 4));
 
   std::vector<int> input(100);
   for (std::size_t i = 0; i < input.size(); ++i) {
@@ -162,6 +155,255 @@ TEST(ShardedRuntimeTest, ArenasAccumulatePerShardPerEpoch) {
         }
       });
   EXPECT_EQ(replayed, input);
+}
+
+// ---------------------------------------------------------------------
+// EpochDriver units (fake executor)
+// ---------------------------------------------------------------------
+
+/// A scripted executor: records every call, counts epochs dispatched but
+/// not yet retired, and fails on request. `probe_every` > 0 makes the
+/// non-blocking probe pass for ids divisible by it (the mailbox's early
+/// retire); 0 means the probe never passes (the transport).
+struct FakeExecutor {
+  struct Payload {
+    bool delivered = false;
+    bool awaited = false;
+  };
+  using Epoch = DrivenEpoch<int, Payload>;
+
+  Status Deliver(Epoch& e) {
+    if (quiesced) ++calls_after_quiesce;
+    delivered.push_back(e.id);
+    e.payload.delivered = true;
+    max_in_flight_seen = std::max(max_in_flight_seen, ++in_flight);
+    if (e.id == throw_deliver_at) throw std::runtime_error("deliver threw");
+    if (e.id == fail_deliver_at) return Status::Internal("deliver failed");
+    return Status::OK();
+  }
+  bool Passed(const Epoch& e) {
+    if (quiesced) ++calls_after_quiesce;
+    return probe_every > 0 && e.id % probe_every == 0;
+  }
+  Status Await(Epoch& e) {
+    if (quiesced) ++calls_after_quiesce;
+    e.payload.awaited = true;
+    if (e.id == fail_await_at) return Status::Internal("await failed");
+    return Status::OK();
+  }
+  void Quiesce() { quiesced = true; }
+
+  std::int64_t probe_every = 0;
+  std::int64_t fail_deliver_at = -1;
+  std::int64_t throw_deliver_at = -1;
+  std::int64_t fail_await_at = -1;
+
+  std::vector<std::int64_t> delivered;
+  std::size_t in_flight = 0;
+  std::size_t max_in_flight_seen = 0;
+  bool quiesced = false;
+  std::size_t calls_after_quiesce = 0;
+};
+
+/// What the global stage saw, epoch by epoch.
+struct GlobalLog {
+  std::vector<std::int64_t> ids;
+  std::vector<int> items;
+  std::size_t calls_after_quiesce = 0;
+};
+
+Status RunDriver(EpochDriver* driver, std::span<const int> input,
+                 FakeExecutor* exec, GlobalLog* log,
+                 std::int64_t fail_global_at = -1) {
+  return driver->Run(
+      input, 3, [](const int& v) { return static_cast<std::uint64_t>(v); },
+      *exec, [&](FakeExecutor::Epoch& e) {
+        if (exec->quiesced) ++log->calls_after_quiesce;
+        // The barrier released before the merge: delivered, and awaited
+        // unless the probe passed.
+        EXPECT_TRUE(e.payload.delivered);
+        EXPECT_TRUE(e.payload.awaited || exec->probe_every > 0);
+        --exec->in_flight;
+        log->ids.push_back(e.id);
+        log->items.insert(log->items.end(), e.items.begin(), e.items.end());
+        std::size_t routed = 0;
+        for (std::size_t p = 0; p < e.by_part.size(); ++p) {
+          for (std::uint32_t idx : e.by_part[p]) {
+            EXPECT_EQ(static_cast<std::size_t>(e.items[idx]) % 3, p);
+            ++routed;
+          }
+        }
+        EXPECT_EQ(routed, e.items.size());
+        if (e.id == fail_global_at) return Status::Internal("global failed");
+        return Status::OK();
+      });
+}
+
+std::vector<int> Iota(int n) {
+  std::vector<int> v(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = i;
+  return v;
+}
+
+TEST(EpochDriverTest, BoundsInFlightAndRetiresEveryEpochOnceInOrder) {
+  const std::vector<int> input = Iota(10);
+  for (const std::size_t in_flight : {1u, 2u, 4u}) {
+    for (const std::size_t epoch_size : {1u, 3u, 4u, 10u, 11u}) {
+      for (const std::int64_t probe_every : {0, 2, 1}) {
+        SCOPED_TRACE(testing::Message()
+                     << "in_flight " << in_flight << " epoch " << epoch_size
+                     << " probe " << probe_every);
+        EpochDriver driver(EpochWindow(epoch_size, in_flight));
+        FakeExecutor exec;
+        exec.probe_every = probe_every;
+        GlobalLog log;
+        ASSERT_TRUE(RunDriver(&driver, input, &exec, &log).ok());
+        const std::size_t epochs = (input.size() + epoch_size - 1) /
+                                   epoch_size;
+        EXPECT_LE(exec.max_in_flight_seen, in_flight);
+        EXPECT_EQ(exec.in_flight, 0u);
+        // Every epoch once, in input order, covering the input exactly.
+        std::vector<std::int64_t> ids(epochs);
+        for (std::size_t i = 0; i < epochs; ++i) {
+          ids[i] = static_cast<std::int64_t>(i);
+        }
+        EXPECT_EQ(exec.delivered, ids);
+        EXPECT_EQ(log.ids, ids);
+        EXPECT_EQ(log.items, input);
+        EXPECT_TRUE(exec.quiesced);
+        EXPECT_EQ(exec.calls_after_quiesce, 0u);
+      }
+    }
+  }
+}
+
+TEST(EpochDriverTest, TransportLikeExecutorFillsTheWindowBeforeRetiring) {
+  // A probe that never passes retires only when the window is full: the
+  // in-flight bound is reached exactly, never exceeded.
+  const std::vector<int> input = Iota(40);
+  EpochDriver driver(EpochWindow(4, 3));
+  FakeExecutor exec;
+  GlobalLog log;
+  ASSERT_TRUE(RunDriver(&driver, input, &exec, &log).ok());
+  EXPECT_EQ(exec.max_in_flight_seen, 3u);
+  EXPECT_EQ(log.items, input);
+}
+
+TEST(EpochDriverTest, ZeroWindowClampsToOne) {
+  const EpochWindow window(0, 0);
+  EXPECT_EQ(window.epoch_size, 1u);
+  EXPECT_EQ(window.max_in_flight, 1u);
+  EXPECT_EQ(window.items(), 1u);
+  EXPECT_EQ(EpochWindow(128, 4).items(), 512u);
+}
+
+TEST(EpochDriverTest, ConsecutiveRunsContinueTheEpochIds) {
+  const std::vector<int> input = Iota(10);
+  EpochDriver driver(EpochWindow(4, 2));
+  FakeExecutor exec;
+  GlobalLog log;
+  ASSERT_TRUE(RunDriver(&driver, input, &exec, &log).ok());
+  ASSERT_TRUE(RunDriver(&driver, input, &exec, &log).ok());
+  const std::vector<std::int64_t> ids = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(log.ids, ids);
+  EXPECT_EQ(exec.delivered, ids);
+}
+
+TEST(EpochDriverTest, FailureStopsDispatchAndReturnsAfterQuiesce) {
+  const std::vector<int> input = Iota(20);
+  struct Case {
+    const char* name;
+    std::int64_t fail_deliver_at;
+    std::int64_t fail_await_at;
+    std::int64_t fail_global_at;
+    std::int64_t last_merged;  // highest epoch id the global stage saw
+  };
+  // Epochs of 2 items, window 2: epoch k is dispatched after k-2 retired.
+  const Case cases[] = {
+      {"deliver", 4, -1, -1, 2},
+      {"await", -1, 3, -1, 2},
+      {"global", -1, -1, 3, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EpochDriver driver(EpochWindow(2, 2));
+    FakeExecutor exec;
+    exec.fail_deliver_at = c.fail_deliver_at;
+    exec.fail_await_at = c.fail_await_at;
+    GlobalLog log;
+    const Status s = RunDriver(&driver, input, &exec, &log, c.fail_global_at);
+    EXPECT_FALSE(s.ok());
+    EXPECT_NE(s.ToString().find(c.name), std::string::npos) << s.ToString();
+    EXPECT_TRUE(exec.quiesced);
+    EXPECT_EQ(exec.calls_after_quiesce, 0u);
+    EXPECT_EQ(log.calls_after_quiesce, 0u);
+    ASSERT_FALSE(log.ids.empty());
+    EXPECT_EQ(log.ids.back(), c.last_merged);
+    // Nothing was dispatched past the window the failure was found in.
+    EXPECT_LE(exec.delivered.back(), c.last_merged + 2);
+    EXPECT_LE(exec.max_in_flight_seen, 2u);
+  }
+}
+
+TEST(EpochDriverTest, ExecutorExceptionIsRethrownAfterQuiesce) {
+  const std::vector<int> input = Iota(20);
+  EpochDriver driver(EpochWindow(2, 2));
+  FakeExecutor exec;
+  exec.throw_deliver_at = 3;
+  GlobalLog log;
+  bool quiesced_before_throw = false;
+  try {
+    RunDriver(&driver, input, &exec, &log);
+  } catch (const std::runtime_error&) {
+    quiesced_before_throw = exec.quiesced;
+  }
+  EXPECT_TRUE(quiesced_before_throw);
+  EXPECT_EQ(exec.delivered.back(), 3);
+  EXPECT_EQ(log.ids.back(), 1);
+  EXPECT_EQ(exec.calls_after_quiesce, 0u);
+}
+
+TEST(ShardedRuntimeTest, GlobalStageExceptionStopsAndJoinsDrains) {
+  // The global stage throws at epoch 10 (items 30..32) while later epochs
+  // sit in the mailboxes. Every drain must join before the exception
+  // leaves Run (TSan and ASan would flag a drain touching a freed epoch),
+  // and the epochs still queued must pass through unprocessed. Keyed calls
+  // past epoch 10 hold their drain until the global stage has thrown, so
+  // each of the 4 shards is inside at most one such call when the stop
+  // lands; a keyed call past epoch 10 that starts later is a failure.
+  ShardedRuntime<int, int> runtime(4, EpochWindow(3, 4));
+  const std::vector<int> input = Iota(200);
+  constexpr std::chrono::milliseconds kHold(100);
+  std::atomic<bool> thrown{false};
+  std::atomic<int> upto_failing{0};
+  std::atomic<int> past_failing{0};
+  ThreadPool pool(4);  // one worker per shard: a held drain blocks no other
+  EXPECT_THROW(
+      runtime.Run(
+          std::span<const int>(input), &pool,
+          [](const int& v) { return static_cast<std::uint64_t>(v); },
+          [&](std::size_t, const int& v, int* slot, NoShardArena*) {
+            *slot = v;
+            if (v < 33) {
+              // A slow epoch 10 lets the driver fill the window (11..13).
+              if (v == 32) std::this_thread::sleep_for(kHold / 2);
+              upto_failing.fetch_add(1);
+              return;
+            }
+            past_failing.fetch_add(1);
+            while (!thrown.load()) std::this_thread::yield();
+            // Give the driver time to reach Quiesce after the throw.
+            std::this_thread::sleep_for(kHold);
+          },
+          [&](std::span<const int> items, std::span<int>,
+              std::span<NoShardArena>) {
+            if (items.front() < 30) return;
+            thrown.store(true);
+            throw std::runtime_error("global");
+          }),
+      std::runtime_error);
+  EXPECT_EQ(upto_failing.load(), 33);
+  EXPECT_LE(past_failing.load(), 4);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/rng.h"
 #include "common/strings.h"
 #include "sources/ais_generator.h"
 #include "sources/nmea.h"
+#include "fuzz_mutations.h"
 
 namespace datacron {
 namespace {
@@ -129,6 +132,59 @@ TEST(NmeaTest, StreamDecoderSkipsCorruptLines) {
   EXPECT_EQ(decoded.size(), 2u);
   EXPECT_EQ(stats.decoded, 2u);
   EXPECT_EQ(stats.failed, 2u);
+}
+
+TEST(NmeaFuzzTest, MutatedSentencesYieldStatusNeverCrash) {
+  const PositionReport r = SampleReport();
+  const std::string sentence = EncodeAivdm(r);
+  ASSERT_TRUE(DecodeAivdm(sentence, r.timestamp).ok());
+  // A strict prefix loses checksum characters, so it never decodes.
+  ForEachPrefix(sentence, [&](const std::string& prefix) {
+    EXPECT_FALSE(DecodeAivdm(prefix, r.timestamp).ok()) << prefix;
+  });
+  ForEachByteCorruption(sentence, [&](const std::string& mutant) {
+    (void)DecodeAivdm(mutant, r.timestamp);
+  });
+}
+
+TEST(NmeaFuzzTest, MutatedPayloadsBehindAValidChecksumYieldStatus) {
+  // A corrupt byte rarely survives the XOR checksum, so the test above
+  // mostly exercises the checksum gate. Re-framing every mutated body
+  // with a matching checksum drives the field decoder itself.
+  const PositionReport r = SampleReport();
+  const std::string sentence = EncodeAivdm(r);
+  const std::string body = sentence.substr(1, sentence.rfind('*') - 1);
+  const auto reframe = [](const std::string& b) {
+    int sum = 0;
+    for (const char c : b) sum ^= static_cast<unsigned char>(c);
+    char hex[3];
+    std::snprintf(hex, sizeof(hex), "%02X", sum);
+    return "!" + b + "*" + hex;
+  };
+  ASSERT_EQ(reframe(body), sentence);
+  const auto check = [&](const std::string& b) {
+    (void)DecodeAivdm(reframe(b), r.timestamp);
+  };
+  ForEachPrefix(body, check);
+  ForEachByteCorruption(body, check);
+}
+
+TEST(NmeaFuzzTest, StreamDecoderSkipsEveryMutatedLine) {
+  PositionReport a = SampleReport();
+  PositionReport b = SampleReport();
+  b.entity_id = 244000001;
+  b.position = {-33.85, -70.6, 0};
+  const std::string feed =
+      EncodeAivdmStream({a, b}) + EncodeAivdm(a) + "\n";
+  const auto check = [&](const std::string& text) {
+    AivdmDecodeStats stats;
+    const auto decoded = DecodeAivdmStream(text, a.timestamp, &stats);
+    EXPECT_EQ(decoded.size(), stats.decoded);
+    // Three sentences in; a corrupt byte can split one line in two.
+    EXPECT_LE(stats.decoded + stats.failed, 4u);
+  };
+  ForEachPrefix(feed, check);
+  ForEachByteCorruption(feed, check);
 }
 
 TEST(NmeaStaticTest, NameRoundTrip) {

@@ -3,6 +3,7 @@
 #include "rdf/ntriples.h"
 #include "rdf/rdfizer.h"
 #include "sources/ais_generator.h"
+#include "fuzz_mutations.h"
 
 namespace datacron {
 namespace {
@@ -97,6 +98,32 @@ TEST(NTriplesTest, ParseRejectsMalformed) {
   EXPECT_FALSE(ParseNTriples("<a <b> <c> .\n", &dict, &out).ok());
   EXPECT_FALSE(
       ParseNTriples("<a> <b> \"x\"^^banana .\n", &dict, &out).ok());
+}
+
+TEST(NTriplesTest, MutatedDocumentsYieldStatusNeverCrash) {
+  TermDictionary dict;
+  const std::vector<Triple> triples = {
+      {dict.Intern("ent:1"), dict.Intern("rdf:type"),
+       dict.Intern("dc:Vessel")},
+      {dict.Intern("node:1/100"), dict.Intern("dc:hasSpeed"),
+       dict.InternDouble(7.5)},
+      {dict.Intern("node:1/100"), dict.Intern("dc:hasTimestamp"),
+       dict.InternDateTime(1490054400000)},
+      {dict.Intern("node:1/100"), dict.Intern("dc:hasNodeKind"),
+       dict.Intern("say \"stop\"", TermKind::kLiteralString)},
+  };
+  const std::string doc = SerializeNTriples(triples, dict);
+  const auto check = [&](const std::string& text) {
+    TermDictionary parsed_dict;
+    std::vector<Triple> parsed;
+    const Status s = ParseNTriples(text, &parsed_dict, &parsed);
+    // A corrupt byte can split one line in two, never more.
+    if (s.ok()) {
+      EXPECT_LE(parsed.size(), triples.size() + 1);
+    }
+  };
+  ForEachPrefix(doc, check);
+  ForEachByteCorruption(doc, check);
 }
 
 TEST(NTriplesTest, UnknownIdSerializesAsPlaceholder) {

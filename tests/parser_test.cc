@@ -8,6 +8,7 @@
 #include "query/parser.h"
 #include "rdf/rdfizer.h"
 #include "sources/ais_generator.h"
+#include "fuzz_mutations.h"
 
 namespace datacron {
 namespace {
@@ -116,6 +117,24 @@ TEST(ParserTest, Errors) {
       "SELECT ?zzz WHERE { ?a <b> <c> . }", &dict).ok());  // unused var
   EXPECT_FALSE(ParseQuery(
       "SELECT ?a WHERE { ?a <b> <c> . } WITHIN 1 2 3 ON ?a", &dict).ok());
+}
+
+TEST(ParserTest, MutatedQueriesYieldStatusNeverCrash) {
+  const std::string text =
+      "SELECT ?n ?speed WHERE {"
+      " ?n <rdf:type> <dc:PositionNode> ."
+      " ?n <dc:hasSpeed> ?speed ."
+      " ?n <dc:hasNodeKind> \"stop_start\"^^string . }"
+      " WITHIN 36.0 24.0 37.0 25.0 ON ?n"
+      " DURING 2017-03-20T00:00:00Z 1490054400000 ON ?n";
+  TermDictionary dict;
+  ASSERT_TRUE(ParseQuery(text, &dict).ok());
+  const auto check = [&](const std::string& mutant) {
+    TermDictionary mutant_dict;
+    (void)ParseQuery(mutant, &mutant_dict);
+  };
+  ForEachPrefix(text, check);
+  ForEachByteCorruption(text, check);
 }
 
 TEST(ParserTest, ParsedQueryExecutesEndToEnd) {

@@ -10,6 +10,7 @@
 #include "sources/model.h"
 #include "sources/replay.h"
 #include "sources/weather.h"
+#include "fuzz_mutations.h"
 
 namespace datacron {
 namespace {
@@ -349,6 +350,29 @@ TEST(CodecTest, RejectsMalformed) {
       DecodeReportCsv("1,submarine,1000,37,24,0,1,2,3").ok());
   EXPECT_FALSE(
       DecodeReportCsv("1,maritime,1000,999,24,0,1,2,3").ok());  // bad lat
+}
+
+TEST(CodecTest, MutatedCsvDocumentsYieldStatusNeverCrash) {
+  std::vector<PositionReport> reports(3);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    reports[i].entity_id = 200000000 + i;
+    reports[i].domain = i == 1 ? Domain::kAviation : Domain::kMaritime;
+    reports[i].timestamp = 1490054400123 + static_cast<TimestampMs>(i);
+    reports[i].position = {37.5 - static_cast<double>(i), 24.25, 10.0};
+    reports[i].speed_mps = 7.5;
+    reports[i].course_deg = 123.25;
+  }
+  const std::string csv = EncodeReportsCsv(reports);
+  ASSERT_TRUE(DecodeReportsCsv(csv).ok());
+  const auto check = [&](const std::string& text) {
+    const auto decoded = DecodeReportsCsv(text);
+    // A corrupt byte can split one line in two, never more.
+    if (decoded.ok()) {
+      EXPECT_LE(decoded.value().size(), reports.size() + 1);
+    }
+  };
+  ForEachPrefix(csv, check);
+  ForEachByteCorruption(csv, check);
 }
 
 // --------------------------------------------------------------- replay
