@@ -9,10 +9,13 @@
 // selective query, and wall time of three query classes in local and
 // global execution, sequential vs. thread pool. A second section sweeps
 // the pool size on the join-heavy global queries, verifying byte-identical
-// results at every thread count and attributing wall time per stage.
+// results at every thread count and attributing wall time per stage. A
+// third times selective spatiotemporal queries (vessel track, WITHIN/
+// DURING type scan, 2-hop path) and prints the plan each one took.
 //
 // Emits BENCH_query.json: every measured (query, strategy, scheme, k,
-// threads) cell with wall and per-stage milliseconds. `--quick` shrinks
+// threads) cell with wall and per-stage milliseconds and the plan (seed
+// kind, join kinds, bind probes). `--quick` shrinks
 // the fleet for CI smoke runs.
 #include <cstdio>
 #include <cstring>
@@ -42,6 +45,12 @@ struct Workload {
   Query star_query;
   Query path_query;
   Query join_query;
+  // Selective spatiotemporal queries in the shapes of the perfbench
+  // store-query mix: a vessel track, a WITHIN/DURING type scan and a
+  // 2-hop path from one vessel over a time window.
+  Query track_query;
+  Query st_scan_query;
+  Query hop_query;
 };
 
 std::unique_ptr<Workload> BuildWorkload(bool quick) {
@@ -100,6 +109,32 @@ std::unique_ptr<Workload> BuildWorkload(bool quick) {
     qb.Within("node", BoundingBox::Of(35.2, 23.2, 36.2, 24.2));
     w->join_query = qb.Build();
   }
+  const TimestampMs t0 = fleet.start_time;
+  const TimestampMs span = fleet.duration;
+  const TermId vessel = w->dict.Intern(EntityIri(200000005));
+  {
+    QueryBuilder qb;
+    qb.Where("node", w->vocab->p_of_entity, vessel);
+    qb.WhereVar("node", w->vocab->p_speed, "speed");
+    qb.Within("node", BoundingBox::Of(38.0, 23.0, 39.0, 24.0));
+    qb.During("node", t0 + span / 4, t0 + span * 3 / 4);
+    w->track_query = qb.Build();
+  }
+  {
+    QueryBuilder qb;
+    qb.Where("node", w->vocab->p_type, w->vocab->c_position_node);
+    qb.Within("node", BoundingBox::Of(35.2, 23.2, 36.2, 24.2));
+    qb.During("node", t0 + span / 2, t0 + span / 2 + span / 8);
+    w->st_scan_query = qb.Build();
+  }
+  {
+    QueryBuilder qb;
+    qb.Where("a", w->vocab->p_of_entity, vessel);
+    qb.WhereVar("a", w->vocab->p_next_node, "b");
+    qb.WhereVar("b", w->vocab->p_speed, "v");
+    qb.During("a", t0 + span / 4, t0 + span * 3 / 4);
+    w->hop_query = qb.Build();
+  }
   return w;
 }
 
@@ -133,13 +168,23 @@ void WriteJson(const char* path, std::size_t triples) {
         "    {\"query\": \"%s\", \"strategy\": \"%s\", \"scheme\": \"%s\", "
         "\"k\": %d, \"threads\": %d, \"wall_ms\": %.4f, \"plan_ms\": %.4f, "
         "\"scan_ms\": %.4f, \"join_ms\": %.4f, \"filter_ms\": %.4f, "
-        "\"result_rows\": %zu, \"intermediate_rows\": %zu, \"join_rows\": [",
+        "\"result_rows\": %zu, \"intermediate_rows\": %zu, \"seed\": "
+        "\"%s\", \"time_seeds\": %zu, \"bind_probes\": %zu, "
+        "\"join_rows\": [",
         r.query.c_str(), r.strategy.c_str(), r.scheme.c_str(), r.k,
         r.threads, r.stats.wall_ms, r.stats.plan_ms, r.stats.scan_ms,
         r.stats.join_ms, r.stats.filter_ms, r.stats.result_rows,
-        r.stats.intermediate_rows);
+        r.stats.intermediate_rows,
+        r.stats.seed == QuerySeed::kTimeIndex ? "time" : "index",
+        r.stats.time_seeds, r.stats.bind_probes);
     for (std::size_t j = 0; j < r.stats.join_rows.size(); ++j) {
       std::fprintf(f, "%s%zu", j ? ", " : "", r.stats.join_rows[j]);
+    }
+    std::fprintf(f, "], \"join_kinds\": [");
+    for (std::size_t j = 0; j < r.stats.join_kinds.size(); ++j) {
+      std::fprintf(f, "%s\"%s\"", j ? ", " : "",
+                   r.stats.join_kinds[j] == JoinKind::kBind ? "bind"
+                                                            : "hash");
     }
     std::fprintf(f, "]}%s\n", i + 1 < g_records.size() ? "," : "");
   }
@@ -268,6 +313,61 @@ bool JoinSweep(const Workload& w) {
   return ok;
 }
 
+/// Selective spatiotemporal queries over the Hilbert k=8 store, serial and
+/// at 4 pool threads: the plans that start from the time index or bind-
+/// join from one vessel's nodes. Returns false when pooled rows differ
+/// from serial rows.
+bool SelectiveQueries(const Workload& w, ThreadPool* pool) {
+  auto scheme =
+      HilbertPartitioner::Build(8, &w.rdfizer->tags(), w.rdfizer->grid());
+  PartitionedRdfStore store;
+  store.Load(w.triples, *scheme, w.rdfizer->grid(), w.vocab->p_next_node);
+  QueryEngine seq(&store, w.rdfizer.get(), nullptr);
+  QueryEngine par(&store, w.rdfizer.get(), pool);
+  const int pool_threads = static_cast<int>(pool->num_threads());
+
+  struct Case {
+    const char* name;
+    const Query* query;
+    bool global;
+  };
+  const Case cases[] = {{"track", &w.track_query, false},
+                        {"st_scan", &w.st_scan_query, false},
+                        {"hop", &w.hop_query, true}};
+  std::printf("\nE5c: selective spatiotemporal queries, hilbert k=8\n");
+  std::printf("%-8s %-7s %6s %10s %10s %10s  %s\n", "query", "strategy",
+              "rows", "serial_ms", "pooled_ms", "intermed", "plan");
+  bool ok = true;
+  for (const Case& c : cases) {
+    auto run = [&](const QueryEngine& engine) {
+      return c.global ? engine.ExecuteGlobal(*c.query)
+                      : engine.ExecuteLocal(*c.query);
+    };
+    const ResultSet serial_rs = run(seq);
+    if (run(par).rows != serial_rs.rows) {
+      std::fprintf(stderr, "DETERMINISM VIOLATION: %s differs pooled\n",
+                   c.name);
+      ok = false;
+    }
+    const char* strategy = c.global ? "global" : "local";
+    QueryExecStats st;
+    const double serial_ms = TimeMs([&] { return run(seq).stats; }, &st, 20);
+    Record(c.name, strategy, "hilbert", 8, 0, st);
+    const double pooled_ms = TimeMs([&] { return run(par).stats; }, &st, 20);
+    Record(c.name, strategy, "hilbert", 8, pool_threads, st);
+    std::string joins;
+    for (const JoinKind kind : st.join_kinds) {
+      joins += kind == JoinKind::kBind ? " bind" : " hash";
+    }
+    std::printf("%-8s %-7s %6zu %10.3f %10.3f %10zu  seed=%s%s\n", c.name,
+                strategy, serial_rs.rows.size(), serial_ms, pooled_ms,
+                st.intermediate_rows,
+                st.seed == QuerySeed::kTimeIndex ? "time" : "index",
+                joins.c_str());
+  }
+  return ok;
+}
+
 }  // namespace
 
 int Run(bool quick) {
@@ -299,7 +399,8 @@ int Run(bool quick) {
     }
   }
 
-  const bool ok = JoinSweep(*w);
+  const bool sweep_ok = JoinSweep(*w);
+  const bool ok = SelectiveQueries(*w, &pool) && sweep_ok;
   WriteJson("BENCH_query.json", w->triples.size());
 
   // Companion snapshot of the process-wide metrics the sweep produced

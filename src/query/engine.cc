@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "common/strings.h"
 #include "common/time_utils.h"
@@ -11,11 +12,19 @@
 namespace datacron {
 
 std::string QueryExecStats::ToString() const {
+  std::string joins;
+  for (const JoinKind kind : join_kinds) {
+    joins += joins.empty() ? "" : ",";
+    joins += kind == JoinKind::kBind ? "bind" : "hash";
+  }
   return StrFormat(
       "partitions=%d/%d intermediate=%zu results=%zu wall=%.3fms "
-      "(plan=%.3f scan=%.3f join=%.3f filter=%.3fms joins=%zu)",
+      "(plan=%.3f scan=%.3f join=%.3f filter=%.3fms joins=%zu) "
+      "seed=%s time_seeds=%zu join_kinds=[%s] bind_probes=%zu",
       partitions_scanned, partitions_total, intermediate_rows, result_rows,
-      wall_ms, plan_ms, scan_ms, join_ms, filter_ms, join_rows.size());
+      wall_ms, plan_ms, scan_ms, join_ms, filter_ms, join_rows.size(),
+      seed == QuerySeed::kTimeIndex ? "time" : "index", time_seeds,
+      joins.c_str(), bind_probes);
 }
 
 QueryEngine::QueryEngine(const PartitionedRdfStore* store,
@@ -23,6 +32,26 @@ QueryEngine::QueryEngine(const PartitionedRdfStore* store,
     : store_(store), rdfizer_(rdfizer), pool_(pool) {
   geo_.Reserve(rdfizer->node_geo().size());
   for (const auto& [node, geo] : rdfizer->node_geo()) geo_[node] = geo;
+  // The time index lists each partition's distinct geo-tagged subjects:
+  // a match whose subject variable binds node n in partition p has n as
+  // a subject there.
+  time_index_.resize(static_cast<std::size_t>(store->num_partitions()));
+  for (std::size_t i = 0; i < time_index_.size(); ++i) {
+    std::vector<TimedNode>& nodes = time_index_[i];
+    TermId last = kInvalidTermId;
+    for (const Triple& t :
+         store_->partition(static_cast<int>(i)).Range(TriplePattern{})) {
+      if (t.s == last) continue;
+      last = t.s;
+      if (const NodeGeo* g = geo_.Find(t.s)) {
+        nodes.push_back({g->timestamp, t.s, g->lat_deg, g->lon_deg});
+      }
+    }
+    std::sort(nodes.begin(), nodes.end(),
+              [](const TimedNode& a, const TimedNode& b) {
+                return a.t != b.t ? a.t < b.t : a.node < b.node;
+              });
+  }
 }
 
 namespace {
@@ -71,7 +100,10 @@ bool BindMatch(const ResolvedPattern& rp, const Triple& t, Binding* binding,
          bind_one(rp.var_o, t.o);
 }
 
-/// Below this many rows a chunk is not worth a pool task.
+/// Below this many rows a chunk is not worth a pool task. A scan or a
+/// partition-local evaluation whose index count at its start is below it
+/// runs on the calling thread: waking pool workers would cost more than
+/// the work. Outputs concatenate in a fixed order either way.
 constexpr std::size_t kMinRowsPerChunk = 4096;
 
 /// Deterministic chunking: how many probe/filter chunks to cut `n` rows
@@ -269,127 +301,70 @@ ColumnTable JoinTables(const ColumnTable& left, const ColumnTable& right,
   return out;
 }
 
-/// Everything precomputed about one pattern before its partition scans:
-/// the resolved pattern, its narrow column layout, and the constraints
-/// that can be pushed down onto its columns.
-struct PatternScanSpec {
-  ResolvedPattern rp;
-  std::vector<int> vars;  // sorted distinct free variables
-  int col_s = -1, col_p = -1, col_o = -1;
-  std::vector<std::pair<int, const SpatialConstraint*>> spatial;
-  std::vector<std::pair<int, const TemporalConstraint*>> temporal;
-};
-
-PatternScanSpec MakeScanSpec(const QueryTriple& qt, const Query& query,
-                             const Binding& empty) {
-  PatternScanSpec spec;
-  spec.rp = Resolve(qt, empty);
-  auto add_var = [&spec](int var) {
-    if (var >= 0 && ColumnOf(spec.vars, var) < 0) spec.vars.push_back(var);
+/// True when `value` satisfies every spatial and temporal constraint on
+/// `var` (vacuously when `var` carries none). At most one geo lookup.
+bool ValueSatisfies(const Query& query, int var, TermId value,
+                    const FlatHashMap<TermId, NodeGeo>& geo) {
+  const NodeGeo* g = nullptr;
+  auto found = [&] {
+    if (g == nullptr) g = geo.Find(value);
+    return g != nullptr;
   };
-  add_var(spec.rp.var_s);
-  add_var(spec.rp.var_p);
-  add_var(spec.rp.var_o);
-  std::sort(spec.vars.begin(), spec.vars.end());
-  spec.col_s = spec.rp.var_s >= 0 ? ColumnOf(spec.vars, spec.rp.var_s) : -1;
-  spec.col_p = spec.rp.var_p >= 0 ? ColumnOf(spec.vars, spec.rp.var_p) : -1;
-  spec.col_o = spec.rp.var_o >= 0 ? ColumnOf(spec.vars, spec.rp.var_o) : -1;
   for (const SpatialConstraint& c : query.spatial) {
-    const int col = ColumnOf(spec.vars, c.var);
-    if (col >= 0) spec.spatial.emplace_back(col, &c);
+    if (c.var != var) continue;
+    if (!found() || !c.box.Contains(LatLon{g->lat_deg, g->lon_deg})) {
+      return false;
+    }
   }
   for (const TemporalConstraint& c : query.temporal) {
-    const int col = ColumnOf(spec.vars, c.var);
-    if (col >= 0) spec.temporal.emplace_back(col, &c);
-  }
-  return spec;
-}
-
-/// Scans one pattern within one partition, appending narrow rows to
-/// `cells`; returns the number of rows emitted. The core of the fused
-/// pattern×partition scan stage.
-std::size_t ScanPatternPartition(const TripleStore& part,
-                                 const PatternScanSpec& spec,
-                                 const FlatHashMap<TermId, NodeGeo>& geo,
-                                 std::vector<TermId>* cells) {
-  const std::size_t w = spec.vars.size();
-  std::size_t emitted = 0;
-  part.Scan(spec.rp.concrete, [&](const Triple& t) {
-    TermId row[3] = {kInvalidTermId, kInvalidTermId, kInvalidTermId};
-    bool ok = true;
-    auto put = [&row, &ok](int col, TermId v) {
-      if (col < 0) return;
-      if (row[col] == kInvalidTermId) {
-        row[col] = v;
-      } else if (row[col] != v) {
-        ok = false;  // repeated variable bound inconsistently
-      }
-    };
-    put(spec.col_s, t.s);
-    put(spec.col_p, t.p);
-    put(spec.col_o, t.o);
-    if (!ok) return true;
-    for (const auto& [col, c] : spec.spatial) {
-      const NodeGeo* g = geo.Find(row[col]);
-      if (g == nullptr || !c->box.Contains(LatLon{g->lat_deg, g->lon_deg})) {
-        return true;
-      }
+    if (c.var != var) continue;
+    if (!found() || g->timestamp < c.t_min || g->timestamp > c.t_max) {
+      return false;
     }
-    for (const auto& [col, c] : spec.temporal) {
-      const NodeGeo* g = geo.Find(row[col]);
-      if (g == nullptr || g->timestamp < c->t_min ||
-          g->timestamp > c->t_max) {
-        return true;
-      }
-    }
-    for (std::size_t i = 0; i < w; ++i) cells->push_back(row[i]);
-    ++emitted;
-    return true;
-  });
-  return emitted;
-}
-
-}  // namespace
-
-bool QueryEngine::SatisfiesConstraints(const Query& query,
-                                       const Binding& binding,
-                                       bool require_bound) const {
-  for (const SpatialConstraint& c : query.spatial) {
-    const TermId value = binding[c.var];
-    if (value == kInvalidTermId) {
-      if (require_bound) return false;
-      continue;
-    }
-    const NodeGeo* g = geo_.Find(value);
-    if (g == nullptr) return false;
-    if (!c.box.Contains(LatLon{g->lat_deg, g->lon_deg})) return false;
-  }
-  for (const TemporalConstraint& c : query.temporal) {
-    const TermId value = binding[c.var];
-    if (value == kInvalidTermId) {
-      if (require_bound) return false;
-      continue;
-    }
-    const NodeGeo* g = geo_.Find(value);
-    if (g == nullptr) return false;
-    if (g->timestamp < c.t_min || g->timestamp > c.t_max) return false;
   }
   return true;
 }
 
-std::vector<int> QueryEngine::PlanOrder(const TripleStore& store,
-                                        const Query& query) const {
-  // Static greedy order: cheapest (most selective) first, then prefer
-  // patterns sharing a variable with what is already planned.
-  const std::size_t n = query.bgp.size();
-  std::vector<std::size_t> cost(n);
-  Binding empty(static_cast<std::size_t>(query.num_vars), kInvalidTermId);
-  for (std::size_t i = 0; i < n; ++i) {
-    cost[i] = store.Count(Resolve(query.bgp[i], empty).concrete);
+bool IsConstrained(const Query& query, int var) {
+  for (const SpatialConstraint& c : query.spatial) {
+    if (c.var == var) return true;
   }
+  for (const TemporalConstraint& c : query.temporal) {
+    if (c.var == var) return true;
+  }
+  return false;
+}
+
+/// Both strategies check a constraint when its variable binds, and every
+/// result row binds every BGP variable. A constraint on a variable the BGP
+/// never mentions therefore holds for no row.
+bool ConstraintsBindable(const Query& query) {
+  auto mentioned = [&query](int var) {
+    for (const QueryTriple& qt : query.bgp) {
+      if (qt.s.var == var || qt.p.var == var || qt.o.var == var) return true;
+    }
+    return false;
+  };
+  for (const SpatialConstraint& c : query.spatial) {
+    if (!mentioned(c.var)) return false;
+  }
+  for (const TemporalConstraint& c : query.temporal) {
+    if (!mentioned(c.var)) return false;
+  }
+  return true;
+}
+
+/// Greedy static order of BGP patterns: cheapest (by `cost`) first, then
+/// prefer patterns sharing a variable with what is already bound.
+/// `seed_var` (or -1) is bound before the first pattern.
+std::vector<int> PlanOrder(const Query& query,
+                           const std::vector<std::size_t>& cost,
+                           int seed_var) {
+  const std::size_t n = query.bgp.size();
   std::vector<bool> used(n, false);
   std::vector<bool> var_bound(static_cast<std::size_t>(query.num_vars),
                               false);
+  if (seed_var >= 0) var_bound[seed_var] = true;
   auto shares_var = [&](const QueryTriple& qt) {
     return (qt.s.IsVar() && var_bound[qt.s.var]) ||
            (qt.p.IsVar() && var_bound[qt.p.var]) ||
@@ -410,8 +385,8 @@ std::vector<int> QueryEngine::PlanOrder(const TripleStore& store,
         best = i;
         continue;
       }
-      const bool i_shares = !order.empty() && shares_var(query.bgp[i]);
-      const bool b_shares = !order.empty() && shares_var(query.bgp[best]);
+      const bool i_shares = shares_var(query.bgp[i]);
+      const bool b_shares = shares_var(query.bgp[best]);
       if (i_shares != b_shares) {
         if (i_shares) best = i;
         continue;
@@ -425,49 +400,280 @@ std::vector<int> QueryEngine::PlanOrder(const TripleStore& store,
   return order;
 }
 
+/// Everything precomputed about one pattern before its partition scans
+/// and probes: the resolved pattern, its narrow column layout, and the
+/// columns whose constraints are checked as they bind.
+struct PatternScanSpec {
+  ResolvedPattern rp;
+  std::vector<int> vars;  // sorted distinct free variables
+  int col_s = -1, col_p = -1, col_o = -1;
+  /// Columns whose variable carries a spatial or temporal constraint.
+  std::vector<int> constrained_cols;
+};
+
+PatternScanSpec MakeScanSpec(const QueryTriple& qt, const Query& query,
+                             const Binding& empty) {
+  PatternScanSpec spec;
+  spec.rp = Resolve(qt, empty);
+  auto add_var = [&spec](int var) {
+    if (var >= 0 && ColumnOf(spec.vars, var) < 0) spec.vars.push_back(var);
+  };
+  add_var(spec.rp.var_s);
+  add_var(spec.rp.var_p);
+  add_var(spec.rp.var_o);
+  std::sort(spec.vars.begin(), spec.vars.end());
+  spec.col_s = spec.rp.var_s >= 0 ? ColumnOf(spec.vars, spec.rp.var_s) : -1;
+  spec.col_p = spec.rp.var_p >= 0 ? ColumnOf(spec.vars, spec.rp.var_p) : -1;
+  spec.col_o = spec.rp.var_o >= 0 ? ColumnOf(spec.vars, spec.rp.var_o) : -1;
+  for (std::size_t col = 0; col < spec.vars.size(); ++col) {
+    if (IsConstrained(query, spec.vars[col])) {
+      spec.constrained_cols.push_back(static_cast<int>(col));
+    }
+  }
+  return spec;
+}
+
+/// Scans one pattern within one partition, appending narrow rows to
+/// `cells`; returns the number of rows emitted. Rows failing a constraint
+/// on one of their columns are dropped here.
+std::size_t ScanPatternPartition(const TripleStore& part,
+                                 const PatternScanSpec& spec,
+                                 const Query& query,
+                                 const FlatHashMap<TermId, NodeGeo>& geo,
+                                 std::vector<TermId>* cells) {
+  const std::size_t w = spec.vars.size();
+  std::size_t emitted = 0;
+  for (const Triple& t : part.Range(spec.rp.concrete)) {
+    TermId row[3] = {kInvalidTermId, kInvalidTermId, kInvalidTermId};
+    bool ok = true;
+    auto put = [&row, &ok](int col, TermId v) {
+      if (col < 0) return;
+      if (row[col] == kInvalidTermId) {
+        row[col] = v;
+      } else if (row[col] != v) {
+        ok = false;  // repeated variable bound inconsistently
+      }
+    };
+    put(spec.col_s, t.s);
+    put(spec.col_p, t.p);
+    put(spec.col_o, t.o);
+    for (std::size_t i = 0; ok && i < spec.constrained_cols.size(); ++i) {
+      const int col = spec.constrained_cols[i];
+      ok = ValueSatisfies(query, spec.vars[col], row[col], geo);
+    }
+    if (!ok) continue;
+    for (std::size_t i = 0; i < w; ++i) cells->push_back(row[i]);
+    ++emitted;
+  }
+  return emitted;
+}
+
+/// A bind join costs about this many index probes' worth of work per
+/// accumulated row and partition, relative to scanning one triple.
+/// ExecuteGlobal bind-joins a pattern when acc.rows × partitions ×
+/// kBindProbeCost is below the pattern's index count.
+constexpr std::size_t kBindProbeCost = 4;
+
+/// Bind (index nested loop) join: extends every row of `acc` through the
+/// pattern of `spec` by substituting the row's values into the pattern and
+/// probing it in each partition of `parts`. Newly bound variables have
+/// their constraints checked as they bind. Rows come out ordered by acc
+/// row, then partition, then index order; acc chunks concatenate in chunk
+/// order, so the table is identical at any thread count.
+ColumnTable BindJoin(const ColumnTable& acc, const PatternScanSpec& spec,
+                     const std::vector<int>& parts,
+                     const PartitionedRdfStore& store, const Query& query,
+                     const FlatHashMap<TermId, NodeGeo>& geo,
+                     ThreadPool* pool) {
+  ColumnTable out;
+  out.vars = acc.vars;
+  for (int v : spec.vars) {
+    if (ColumnOf(out.vars, v) < 0) out.vars.push_back(v);
+  }
+  std::sort(out.vars.begin(), out.vars.end());
+  const std::size_t ow = out.width();
+  std::vector<int> out_from_acc(ow);
+  std::vector<int> checked;  // new output columns carrying a constraint
+  for (std::size_t c = 0; c < ow; ++c) {
+    out_from_acc[c] = ColumnOf(acc.vars, out.vars[c]);
+    if (out_from_acc[c] < 0 && IsConstrained(query, out.vars[c])) {
+      checked.push_back(static_cast<int>(c));
+    }
+  }
+  // Per pattern position: the acc column substituted into the probe, or
+  // the output column the matched term fills.
+  const int pos_var[3] = {spec.rp.var_s, spec.rp.var_p, spec.rp.var_o};
+  int pos_acc[3] = {-1, -1, -1};
+  int pos_out[3] = {-1, -1, -1};
+  for (int i = 0; i < 3; ++i) {
+    if (pos_var[i] < 0) continue;
+    pos_acc[i] = ColumnOf(acc.vars, pos_var[i]);
+    if (pos_acc[i] < 0) pos_out[i] = ColumnOf(out.vars, pos_var[i]);
+  }
+
+  const std::size_t chunks = NumChunks(acc.rows, pool);
+  std::vector<std::vector<TermId>> chunk_cells(chunks);
+  std::vector<std::size_t> chunk_rows(chunks, 0);
+  const std::size_t per = chunks ? (acc.rows + chunks - 1) / chunks : 0;
+  RunChunks(chunks, pool, [&](std::size_t c) {
+    std::vector<TermId>& cells = chunk_cells[c];
+    std::vector<TermId> row(ow);
+    const std::size_t begin = c * per;
+    const std::size_t end = std::min(acc.rows, begin + per);
+    for (std::size_t r = begin; r < end; ++r) {
+      const TermId* arow = acc.Row(r);
+      TriplePattern probe = spec.rp.concrete;
+      TermId* probe_pos[3] = {&probe.s, &probe.p, &probe.o};
+      for (int i = 0; i < 3; ++i) {
+        if (pos_acc[i] >= 0) *probe_pos[i] = arow[pos_acc[i]];
+      }
+      for (int part : parts) {
+        for (const Triple& t : store.partition(part).Range(probe)) {
+          const TermId matched[3] = {t.s, t.p, t.o};
+          for (std::size_t oc = 0; oc < ow; ++oc) {
+            row[oc] = out_from_acc[oc] >= 0 ? arow[out_from_acc[oc]]
+                                            : kInvalidTermId;
+          }
+          bool ok = true;
+          for (int i = 0; ok && i < 3; ++i) {
+            if (pos_out[i] < 0) continue;
+            TermId& cell = row[pos_out[i]];
+            if (cell == kInvalidTermId) {
+              cell = matched[i];
+            } else {
+              ok = cell == matched[i];  // repeated variable
+            }
+          }
+          for (std::size_t i = 0; ok && i < checked.size(); ++i) {
+            ok = ValueSatisfies(query, out.vars[checked[i]], row[checked[i]],
+                                geo);
+          }
+          if (!ok) continue;
+          cells.insert(cells.end(), row.begin(), row.end());
+          ++chunk_rows[c];
+        }
+      }
+    }
+  });
+  for (std::size_t c = 0; c < chunks; ++c) out.rows += chunk_rows[c];
+  out.cells.reserve(out.rows * ow);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    out.cells.insert(out.cells.end(), chunk_cells[c].begin(),
+                     chunk_cells[c].end());
+  }
+  return out;
+}
+
+}  // namespace
+
 void QueryEngine::Extend(const TripleStore& store, const Query& query,
                          const std::vector<int>& pattern_order,
                          std::size_t depth, Binding* binding,
                          std::vector<Binding>* out) const {
   if (depth == pattern_order.size()) {
-    if (SatisfiesConstraints(query, *binding, /*require_bound=*/true)) {
-      out->push_back(*binding);
-    }
+    out->push_back(*binding);
     return;
   }
   const QueryTriple& qt = query.bgp[pattern_order[depth]];
   const ResolvedPattern rp = Resolve(qt, *binding);
-  store.Scan(rp.concrete, [&](const Triple& t) {
+  for (const Triple& t : store.Range(rp.concrete)) {
     int newly_bound[3];
     int num_newly = 0;
-    if (BindMatch(rp, t, binding, newly_bound, &num_newly)) {
-      // Early constraint check on whatever is bound so far.
-      if (SatisfiesConstraints(query, *binding, /*require_bound=*/false)) {
-        Extend(store, query, pattern_order, depth + 1, binding, out);
-      }
+    bool ok = BindMatch(rp, t, binding, newly_bound, &num_newly);
+    // Each constraint is checked once, when its variable binds.
+    for (int i = 0; ok && i < num_newly; ++i) {
+      ok = ValueSatisfies(query, newly_bound[i], (*binding)[newly_bound[i]],
+                          geo_);
     }
+    if (ok) Extend(store, query, pattern_order, depth + 1, binding, out);
     for (int i = 0; i < num_newly; ++i) {
       (*binding)[newly_bound[i]] = kInvalidTermId;
     }
-    return true;
-  });
+  }
 }
 
-void QueryEngine::EvalBgpInStore(const TripleStore& store, const Query& query,
-                                 std::vector<Binding>* out) const {
-  if (query.bgp.empty()) return;
-  const std::vector<int> order = PlanOrder(store, query);
+QueryEngine::PartitionPlan QueryEngine::PlanPartition(
+    int part, const Query& query) const {
+  PartitionPlan plan;
+  plan.part = part;
+  const TripleStore& store = store_->partition(part);
+  const Binding empty(static_cast<std::size_t>(query.num_vars),
+                      kInvalidTermId);
+  std::vector<std::size_t> cost(query.bgp.size());
+  for (std::size_t i = 0; i < cost.size(); ++i) {
+    cost[i] = store.Count(Resolve(query.bgp[i], empty).concrete);
+  }
+  const std::size_t cheapest = *std::min_element(cost.begin(), cost.end());
+
+  // The time-seed candidate: the DURING variable with the narrowest time
+  // range here, among variables that are the subject of some pattern (the
+  // time index lists this partition's subjects only).
+  const std::vector<TimedNode>& nodes = time_index_[part];
+  auto time_range = [&nodes](const TemporalConstraint& c) {
+    const auto lo = std::partition_point(
+        nodes.begin(), nodes.end(),
+        [&c](const TimedNode& n) { return n.t < c.t_min; });
+    // Searching from `lo` keeps the range empty, never negative, when
+    // t_min > t_max.
+    const auto hi = std::partition_point(
+        lo, nodes.end(), [&c](const TimedNode& n) { return n.t <= c.t_max; });
+    return std::span<const TimedNode>(lo, hi);
+  };
+  auto is_subject = [&query](int var) {
+    for (const QueryTriple& qt : query.bgp) {
+      if (qt.s.var == var) return true;
+    }
+    return false;
+  };
+  plan.start_rows = cheapest;
+  for (const TemporalConstraint& c : query.temporal) {
+    if (!is_subject(c.var)) continue;
+    const std::span<const TimedNode> range = time_range(c);
+    if (range.size() < plan.start_rows) {
+      plan.seed_var = c.var;
+      plan.seeds = range;
+      plan.start_rows = range.size();
+    }
+  }
+  plan.order = PlanOrder(query, cost, plan.seed_var);
+  return plan;
+}
+
+void QueryEngine::EvalPartition(const PartitionPlan& plan,
+                                const Query& query,
+                                std::vector<Binding>* out) const {
+  const TripleStore& store = store_->partition(plan.part);
   Binding binding(static_cast<std::size_t>(query.num_vars), kInvalidTermId);
-  Extend(store, query, order, 0, &binding, out);
+  if (plan.seed_var < 0) {
+    Extend(store, query, plan.order, 0, &binding, out);
+    return;
+  }
+  const int var = plan.seed_var;
+  for (const TimedNode& n : plan.seeds) {
+    bool ok = true;
+    for (const SpatialConstraint& c : query.spatial) {
+      if (c.var == var && !c.box.Contains(LatLon{n.lat_deg, n.lon_deg})) {
+        ok = false;
+      }
+    }
+    for (const TemporalConstraint& c : query.temporal) {
+      if (c.var == var && (n.t < c.t_min || n.t > c.t_max)) ok = false;
+    }
+    if (!ok) continue;
+    binding[var] = n.node;
+    Extend(store, query, plan.order, 0, &binding, out);
+  }
 }
 
-std::vector<int> QueryEngine::PrunedPartitions(const Query& query) const {
+std::vector<int> QueryEngine::PrunedPartitions(const Query& query,
+                                               int var) const {
   std::vector<int> out;
   for (int i = 0; i < store_->num_partitions(); ++i) {
     const PartitionMeta& m = store_->meta(i);
     bool keep = true;
     if (m.tagged_resources > 0) {
       for (const SpatialConstraint& c : query.spatial) {
+        if (var >= 0 && c.var != var) continue;
         if (!m.bbox.IsEmpty() && !m.bbox.Intersects(c.box)) {
           keep = false;
           break;
@@ -475,6 +681,7 @@ std::vector<int> QueryEngine::PrunedPartitions(const Query& query) const {
       }
       if (keep && m.HasTimeRange()) {
         for (const TemporalConstraint& c : query.temporal) {
+          if (var >= 0 && c.var != var) continue;
           const std::int64_t lo = rdfizer_->BucketOf(c.t_min);
           const std::int64_t hi = rdfizer_->BucketOf(c.t_max);
           if (m.max_bucket < lo || m.min_bucket > hi) {
@@ -492,6 +699,8 @@ std::vector<int> QueryEngine::PrunedPartitions(const Query& query) const {
 ResultSet QueryEngine::ExecuteLocal(const Query& query) const {
   static obs::Counter* queries =
       obs::MetricsRegistry::Global().counter("query.local");
+  static obs::Counter* time_seeds =
+      obs::MetricsRegistry::Global().counter("query.time_seeds");
   queries->Add();
   Stopwatch timer;
   ResultSet rs;
@@ -501,37 +710,39 @@ ResultSet QueryEngine::ExecuteLocal(const Query& query) const {
   obs::TraceSpan plan_span("query.plan", "query");
   // Constraint pruning plus predicate-existence skipping: a partition
   // lacking any bound predicate of the BGP cannot contribute a match.
-  std::vector<int> candidates;
-  for (int p : PrunedPartitions(query)) {
-    bool possible = true;
-    for (const QueryTriple& qt : query.bgp) {
-      if (!qt.p.IsVar() &&
-          !store_->meta(p).MightMatchPredicate(qt.p.term)) {
-        possible = false;
-        break;
+  // Each surviving partition then picks its start from its own counts.
+  std::vector<PartitionPlan> plans;
+  std::size_t work = 0;
+  if (!query.bgp.empty() && ConstraintsBindable(query)) {
+    for (int p : PrunedPartitions(query)) {
+      bool possible = true;
+      for (const QueryTriple& qt : query.bgp) {
+        if (!qt.p.IsVar() &&
+            !store_->meta(p).MightMatchPredicate(qt.p.term)) {
+          possible = false;
+          break;
+        }
       }
+      if (!possible) continue;
+      plans.push_back(PlanPartition(p, query));
+      work += plans.back().start_rows;
+      if (plans.back().seed_var >= 0) ++rs.stats.time_seeds;
     }
-    if (possible) candidates.push_back(p);
   }
   plan_span.End();
   rs.stats.plan_ms = plan_timer.ElapsedMillis();
-  rs.stats.partitions_scanned = static_cast<int>(candidates.size());
+  rs.stats.partitions_scanned = static_cast<int>(plans.size());
 
   // Each partition evaluates into its own slot; slots concatenate in
   // partition-index order, so the row order is identical at any thread
   // count (never mutex-arrival order).
   Stopwatch scan_timer;
   obs::TraceSpan scan_span("query.scan", "query");
-  std::vector<std::vector<Binding>> per_part(candidates.size());
-  auto eval_one = [&](std::size_t idx) {
-    EvalBgpInStore(store_->partition(candidates[idx]), query,
-                   &per_part[idx]);
-  };
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(candidates.size(), eval_one);
-  } else {
-    for (std::size_t i = 0; i < candidates.size(); ++i) eval_one(i);
-  }
+  std::vector<std::vector<Binding>> per_part(plans.size());
+  RunChunks(plans.size(), work >= kMinRowsPerChunk ? pool_ : nullptr,
+            [&](std::size_t i) {
+              EvalPartition(plans[i], query, &per_part[i]);
+            });
   std::size_t total = 0;
   for (const auto& rows : per_part) total += rows.size();
   rs.rows.reserve(total);
@@ -540,6 +751,10 @@ ResultSet QueryEngine::ExecuteLocal(const Query& query) const {
   }
   scan_span.End();
   rs.stats.scan_ms = scan_timer.ElapsedMillis();
+  if (rs.stats.time_seeds > 0) {
+    rs.stats.seed = QuerySeed::kTimeIndex;
+    time_seeds->Add(rs.stats.time_seeds);
+  }
   rs.stats.result_rows = rs.rows.size();
   rs.stats.wall_ms = timer.ElapsedMillis();
   return rs;
@@ -548,123 +763,128 @@ ResultSet QueryEngine::ExecuteLocal(const Query& query) const {
 ResultSet QueryEngine::ExecuteGlobal(const Query& query) const {
   static obs::Counter* queries =
       obs::MetricsRegistry::Global().counter("query.global");
+  static obs::Counter* bind_probes =
+      obs::MetricsRegistry::Global().counter("query.bind_probes");
   queries->Add();
   Stopwatch timer;
   ResultSet rs;
   rs.stats.partitions_total = store_->num_partitions();
-  if (query.bgp.empty()) return rs;
+  if (query.bgp.empty() || !ConstraintsBindable(query)) return rs;
 
   Stopwatch plan_timer;
   obs::TraceSpan plan_span("query.plan", "query");
-  // Vars carrying spatial/temporal constraints: their patterns can be
-  // scanned on the pruned partition subset only (tagged subjects obey the
+  // A pattern whose subject variable carries constraints is scanned on
+  // the partitions those constraints leave (tagged subjects obey the
   // partition envelopes); all other patterns scan everything.
-  const std::vector<int> pruned = PrunedPartitions(query);
-  std::vector<bool> constrained(static_cast<std::size_t>(query.num_vars),
-                                false);
-  for (const SpatialConstraint& c : query.spatial) constrained[c.var] = true;
-  for (const TemporalConstraint& c : query.temporal)
-    constrained[c.var] = true;
   std::vector<int> all_parts(
       static_cast<std::size_t>(store_->num_partitions()));
   for (int i = 0; i < store_->num_partitions(); ++i) all_parts[i] = i;
 
+  // Per pattern: scan spec, candidate partitions (with predicate-existence
+  // skipping) and the index count over them — the cost every plan choice
+  // reads.
   const std::size_t n = query.bgp.size();
   Binding empty(static_cast<std::size_t>(query.num_vars), kInvalidTermId);
   std::vector<PatternScanSpec> specs;
+  std::vector<std::vector<int>> cands(n);
+  std::vector<std::size_t> cost(n, 0);
   specs.reserve(n);
-  for (const QueryTriple& qt : query.bgp) {
+  std::size_t max_scanned = 0;
+  for (std::size_t pi = 0; pi < n; ++pi) {
+    const QueryTriple& qt = query.bgp[pi];
     specs.push_back(MakeScanSpec(qt, query, empty));
+    const bool subject_constrained =
+        qt.s.IsVar() && IsConstrained(query, qt.s.var);
+    for (int p : subject_constrained ? PrunedPartitions(query, qt.s.var)
+                                     : all_parts) {
+      if (store_->meta(p).MightMatchPredicate(specs[pi].rp.concrete.p)) {
+        cands[pi].push_back(p);
+        cost[pi] += store_->partition(p).Count(specs[pi].rp.concrete);
+      }
+    }
+    max_scanned = std::max(max_scanned, cands[pi].size());
   }
+  rs.stats.partitions_scanned = static_cast<int>(max_scanned);
   plan_span.End();
   rs.stats.plan_ms = plan_timer.ElapsedMillis();
 
-  // Scan every pattern into a narrow columnar table, with constraint and
-  // predicate-existence pushdown. All pattern×partition pairs run under
-  // ONE ParallelFor; per-job outputs concatenate per pattern in
-  // partition-index order, so tables are identical at any thread count.
-  Stopwatch scan_timer;
-  obs::TraceSpan scan_span("query.scan", "query");
-  std::vector<ColumnTable> tables(n);
-  struct ScanJob {
-    std::size_t pattern;
-    int part;
-  };
-  std::vector<ScanJob> jobs;
-  std::size_t max_scanned = pruned.size();
-  for (std::size_t pi = 0; pi < n; ++pi) {
-    const QueryTriple& qt = query.bgp[pi];
-    const bool subject_constrained = qt.s.IsVar() && constrained[qt.s.var];
-    const std::vector<int>& base = subject_constrained ? pruned : all_parts;
-    std::size_t scanned = 0;
-    for (int p : base) {
-      if (store_->meta(p).MightMatchPredicate(specs[pi].rp.concrete.p)) {
-        jobs.push_back({pi, p});
-        ++scanned;
-      }
+  // Scans one pattern over its candidate partitions into a narrow columnar
+  // table, with constraint pushdown. Per-partition outputs concatenate in
+  // partition-index order, so the table is identical at any thread count.
+  auto scan = [&](std::size_t pi) {
+    Stopwatch scan_timer;
+    obs::TraceSpan scan_span("query.scan", "query");
+    const std::vector<int>& parts = cands[pi];
+    std::vector<std::vector<TermId>> part_cells(parts.size());
+    std::vector<std::size_t> part_rows(parts.size(), 0);
+    auto scan_one = [&](std::size_t j) {
+      part_rows[j] = ScanPatternPartition(store_->partition(parts[j]),
+                                          specs[pi], query, geo_,
+                                          &part_cells[j]);
+    };
+    RunChunks(parts.size(), cost[pi] >= kMinRowsPerChunk ? pool_ : nullptr,
+              scan_one);
+    ColumnTable table;
+    table.vars = specs[pi].vars;
+    for (std::size_t j = 0; j < parts.size(); ++j) {
+      table.rows += part_rows[j];
+      table.cells.insert(table.cells.end(), part_cells[j].begin(),
+                         part_cells[j].end());
     }
-    max_scanned = std::max(max_scanned, scanned);
-  }
-  std::vector<std::vector<TermId>> job_cells(jobs.size());
-  std::vector<std::size_t> job_rows(jobs.size(), 0);
-  auto scan_one = [&](std::size_t j) {
-    job_rows[j] = ScanPatternPartition(store_->partition(jobs[j].part),
-                                       specs[jobs[j].pattern], geo_,
-                                       &job_cells[j]);
-  };
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(jobs.size(), scan_one);
-  } else {
-    for (std::size_t j = 0; j < jobs.size(); ++j) scan_one(j);
-  }
-  for (std::size_t pi = 0; pi < n; ++pi) tables[pi].vars = specs[pi].vars;
-  // Jobs were appended pattern-major in partition order, so a linear
-  // pass concatenates each pattern's chunks deterministically.
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    ColumnTable& table = tables[jobs[j].pattern];
-    table.rows += job_rows[j];
-    table.cells.insert(table.cells.end(), job_cells[j].begin(),
-                       job_cells[j].end());
-  }
-  for (const ColumnTable& table : tables) {
     rs.stats.intermediate_rows += table.rows;
-  }
-  rs.stats.partitions_scanned = static_cast<int>(max_scanned);
-  scan_span.End();
-  rs.stats.scan_ms = scan_timer.ElapsedMillis();
+    scan_span.End();
+    rs.stats.scan_ms += scan_timer.ElapsedMillis();
+    return table;
+  };
 
-  // Join tables: smallest first, preferring join partners that share
-  // vars (stable order, so the plan is identical at any thread count).
-  Stopwatch join_timer;
-  obs::TraceSpan join_span("query.join", "query");
+  // Start from the cheapest pattern, then repeatedly take the cheapest
+  // remaining pattern, preferring ones that share a variable with the
+  // accumulated rows (ties go to the lower pattern index).
   std::vector<std::size_t> remaining(n);
   for (std::size_t i = 0; i < n; ++i) remaining[i] = i;
-  std::stable_sort(remaining.begin(), remaining.end(),
-                   [&tables](std::size_t a, std::size_t b) {
-                     return tables[a].rows < tables[b].rows;
-                   });
-  ColumnTable acc = std::move(tables[remaining.front()]);
-  remaining.erase(remaining.begin());
-  while (!remaining.empty()) {
-    std::size_t pick = 0;
-    for (std::size_t i = 0; i < remaining.size(); ++i) {
-      if (SharesVar(acc.vars, tables[remaining[i]].vars)) {
-        pick = i;
-        break;
+  auto take_next = [&](const std::vector<int>& bound_vars) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < remaining.size(); ++i) {
+      const bool i_shares = SharesVar(bound_vars, specs[remaining[i]].vars);
+      const bool b_shares =
+          SharesVar(bound_vars, specs[remaining[best]].vars);
+      if (i_shares != b_shares) {
+        if (i_shares) best = i;
+      } else if (cost[remaining[i]] < cost[remaining[best]]) {
+        best = i;
       }
     }
-    acc = JoinTables(acc, tables[remaining[pick]], pool_);
-    remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(pick));
+    const std::size_t pi = remaining[best];
+    remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(best));
+    return pi;
+  };
+  ColumnTable acc = scan(take_next({}));
+  while (!remaining.empty() && acc.rows > 0) {
+    const std::size_t pi = take_next(acc.vars);
+    const bool bind = SharesVar(acc.vars, specs[pi].vars) &&
+                      acc.rows * cands[pi].size() * kBindProbeCost < cost[pi];
+    ColumnTable table;
+    if (!bind) table = scan(pi);
+    Stopwatch join_timer;
+    obs::TraceSpan join_span("query.join", "query");
+    if (bind) {
+      const std::size_t probes = acc.rows * cands[pi].size();
+      rs.stats.bind_probes += probes;
+      bind_probes->Add(probes);
+      acc = BindJoin(acc, specs[pi], cands[pi], *store_, query, geo_, pool_);
+    } else {
+      acc = JoinTables(acc, table, pool_);
+    }
+    join_span.End();
+    rs.stats.join_ms += join_timer.ElapsedMillis();
     rs.stats.intermediate_rows += acc.rows;
     rs.stats.join_rows.push_back(acc.rows);
-    if (acc.rows == 0) break;
+    rs.stats.join_kinds.push_back(bind ? JoinKind::kBind : JoinKind::kHash);
   }
-  join_span.End();
-  rs.stats.join_ms = join_timer.ElapsedMillis();
 
-  // Final constraint check (all surviving vars bound now), widening the
-  // columnar rows back to full-width bindings. Chunk outputs concatenate
-  // in chunk order — deterministic.
+  // Every constraint was checked as its variable bound, so what remains is
+  // widening the columnar rows back to full-width bindings. Chunk outputs
+  // concatenate in chunk order — deterministic.
   Stopwatch filter_timer;
   obs::TraceSpan filter_span("query.filter", "query");
   if (acc.rows > 0) {
@@ -675,18 +895,15 @@ ResultSet QueryEngine::ExecuteGlobal(const Query& query) const {
     RunChunks(chunks, pool_, [&](std::size_t c) {
       const std::size_t begin = c * per;
       const std::size_t end = std::min(acc.rows, begin + per);
+      chunk_out[c].reserve(end - begin);
       for (std::size_t r = begin; r < end; ++r) {
         Binding b(static_cast<std::size_t>(query.num_vars), kInvalidTermId);
         const TermId* row = acc.Row(r);
         for (std::size_t i = 0; i < ow; ++i) b[acc.vars[i]] = row[i];
-        if (SatisfiesConstraints(query, b, /*require_bound=*/true)) {
-          chunk_out[c].push_back(std::move(b));
-        }
+        chunk_out[c].push_back(std::move(b));
       }
     });
-    std::size_t total = 0;
-    for (const auto& rows : chunk_out) total += rows.size();
-    rs.rows.reserve(total);
+    rs.rows.reserve(acc.rows);
     for (auto& rows : chunk_out) {
       for (Binding& b : rows) rs.rows.push_back(std::move(b));
     }

@@ -1,6 +1,7 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <cmath>
 
 #include "common/strings.h"
 #include "common/time_utils.h"
@@ -230,6 +231,13 @@ Result<ParsedQuery> ParseQuery(const std::string& text,
         if (!ParseDouble(lexer.Next(), &v)) {
           return Status::ParseError("WITHIN needs 4 numbers");
         }
+        if (!std::isfinite(v)) {
+          return Status::ParseError("WITHIN numbers must be finite");
+        }
+      }
+      if (vals[0] > vals[2] || vals[1] > vals[3]) {
+        return Status::ParseError(
+            "WITHIN box needs min_lat <= max_lat and min_lon <= max_lon");
       }
       if (Upper(lexer.Next()) != "ON") {
         return Status::ParseError("WITHIN needs ON ?var");
@@ -245,6 +253,9 @@ Result<ParsedQuery> ParseQuery(const std::string& text,
           !ParseInstant(lexer.Next(), &t1)) {
         return Status::ParseError(
             "DURING needs two instants (ISO-8601 or epoch ms)");
+      }
+      if (t0 > t1) {
+        return Status::ParseError("DURING needs start <= end");
       }
       if (Upper(lexer.Next()) != "ON") {
         return Status::ParseError("DURING needs ON ?var");

@@ -33,22 +33,23 @@ struct OspLess {
   }
 };
 
-bool MatchesResidual(const Triple& t, const TriplePattern& q) {
-  return (q.s == kInvalidTermId || t.s == q.s) &&
-         (q.p == kInvalidTermId || t.p == q.p) &&
-         (q.o == kInvalidTermId || t.o == q.o);
-}
-
-/// Binary-search range in `index` where the bound prefix of `q` (under the
-/// permutation described by key1/key2/key3 accessors) matches.
+/// The index range of `index` whose keys lie in [lo_key, hi_key]. The
+/// end is found by galloping from the start (lo+1, lo+2, lo+4, ...), so a
+/// short range costs O(log width) comparisons on cache lines next to the
+/// start instead of a second search over the whole index.
 template <typename Less>
-std::pair<std::size_t, std::size_t> PrefixRange(
-    const std::vector<Triple>& index, const Triple& lo_key,
-    const Triple& hi_key, Less less) {
-  auto lo = std::lower_bound(index.begin(), index.end(), lo_key, less);
-  auto hi = std::upper_bound(index.begin(), index.end(), hi_key, less);
-  return {static_cast<std::size_t>(lo - index.begin()),
-          static_cast<std::size_t>(hi - index.begin())};
+std::span<const Triple> PrefixRange(const std::vector<Triple>& index,
+                                    const Triple& lo_key,
+                                    const Triple& hi_key, Less less) {
+  const auto lo = std::lower_bound(index.begin(), index.end(), lo_key, less);
+  auto inside = lo;  // every element before `inside` is <= hi_key
+  auto probe = lo;
+  for (std::ptrdiff_t step = 1;
+       probe != index.end() && !less(hi_key, *probe); step *= 2) {
+    inside = probe + 1;
+    probe = index.end() - probe > step ? probe + step : index.end();
+  }
+  return {lo, std::upper_bound(inside, probe, hi_key, less)};
 }
 
 constexpr TermId kMaxTerm = ~static_cast<TermId>(0);
@@ -109,68 +110,41 @@ TripleStore::Perm TripleStore::ChoosePerm(const TriplePattern& q) const {
   const bool s = q.s != kInvalidTermId;
   const bool p = q.p != kInvalidTermId;
   const bool o = q.o != kInvalidTermId;
-  // Prefer the permutation whose leading components are bound.
-  if (s) return Perm::kSpo;                  // S**, SP*, S*O(->SPO w/ resid), SPO
-  if (p) return Perm::kPos;                  // *P*, *PO
-  if (o) return Perm::kOsp;                  // **O
-  return Perm::kSpo;                         // full scan
+  // The permutation whose leading components are exactly the bound ones.
+  if (s && (p || !o)) return Perm::kSpo;  // S**, SP*, SPO
+  if (p) return Perm::kPos;               // *P*, *PO
+  if (o) return Perm::kOsp;               // **O, S*O
+  return Perm::kSpo;                      // full scan
+}
+
+std::span<const Triple> TripleStore::Range(const TriplePattern& q) const {
+  // The bound components lead the chosen order, so the range runs from
+  // the pattern with wildcards as 0 to the pattern with wildcards as max.
+  const Triple lo{q.s, q.p, q.o};
+  auto top = [](TermId t) { return t != kInvalidTermId ? t : kMaxTerm; };
+  const Triple hi{top(q.s), top(q.p), top(q.o)};
+  switch (ChoosePerm(q)) {
+    case Perm::kSpo:
+      return PrefixRange(spo_, lo, hi, SpoLess());
+    case Perm::kPos:
+      return PrefixRange(pos_, lo, hi, PosLess());
+    case Perm::kOsp:
+      return PrefixRange(osp_, lo, hi, OspLess());
+  }
+  return {};
 }
 
 void TripleStore::Scan(
     const TriplePattern& q,
     const std::function<bool(const Triple&)>& visit) const {
-  const Perm perm = ChoosePerm(q);
-  const std::vector<Triple>* index = nullptr;
-  Triple lo, hi;
-  std::pair<std::size_t, std::size_t> range;
-  switch (perm) {
-    case Perm::kSpo: {
-      index = &spo_;
-      lo = {q.s, q.s && q.p ? q.p : 0, q.s && q.p && q.o ? q.o : 0};
-      hi = {q.s ? q.s : kMaxTerm, q.s && q.p ? q.p : kMaxTerm,
-            q.s && q.p && q.o ? q.o : kMaxTerm};
-      range = PrefixRange(*index, lo, hi, SpoLess());
-      break;
-    }
-    case Perm::kPos: {
-      index = &pos_;
-      lo = {0, q.p, q.o ? q.o : 0};
-      hi = {kMaxTerm, q.p, q.o ? q.o : kMaxTerm};
-      range = PrefixRange(*index, lo, hi, PosLess());
-      break;
-    }
-    case Perm::kOsp: {
-      index = &osp_;
-      lo = {0, 0, q.o};
-      hi = {kMaxTerm, kMaxTerm, q.o};
-      range = PrefixRange(*index, lo, hi, OspLess());
-      break;
-    }
-  }
-  for (std::size_t i = range.first; i < range.second; ++i) {
-    const Triple& t = (*index)[i];
-    if (MatchesResidual(t, q)) {
-      if (!visit(t)) return;
-    }
+  for (const Triple& t : Range(q)) {
+    if (!visit(t)) return;
   }
 }
 
 std::vector<Triple> TripleStore::Match(const TriplePattern& q) const {
-  std::vector<Triple> out;
-  Scan(q, [&out](const Triple& t) {
-    out.push_back(t);
-    return true;
-  });
-  return out;
-}
-
-std::size_t TripleStore::Count(const TriplePattern& q) const {
-  std::size_t n = 0;
-  Scan(q, [&n](const Triple&) {
-    ++n;
-    return true;
-  });
-  return n;
+  const std::span<const Triple> range = Range(q);
+  return {range.begin(), range.end()};
 }
 
 std::vector<TermId> TripleStore::Predicates() const {

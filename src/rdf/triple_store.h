@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "rdf/term.h"
@@ -35,8 +36,9 @@ struct TriplePattern {
 /// In-memory triple store with three sorted permutation indexes
 /// (SPO, POS, OSP) — the RDF-3X layout. Writes are buffered and indexed on
 /// Seal(); the streaming path appends batches and reseals per window, the
-/// archival path bulk-loads once. Lookup of any pattern shape is a binary
-/// search on the best-matching permutation.
+/// archival path bulk-loads once. Every pattern shape is a prefix of one
+/// permutation (S?O of OSP), so its matches are one contiguous index range
+/// found by two binary searches.
 class TripleStore {
  public:
   TripleStore() = default;
@@ -58,6 +60,11 @@ class TripleStore {
   bool sealed() const { return sealed_; }
   std::size_t size() const { return spo_.size(); }
 
+  /// Every triple matching `pattern`, as a view into the index whose
+  /// order makes the pattern a prefix. Valid until the next Add/Seal.
+  /// Requires sealed().
+  std::span<const Triple> Range(const TriplePattern& pattern) const;
+
   /// All triples matching `pattern`. Requires sealed().
   std::vector<Triple> Match(const TriplePattern& pattern) const;
 
@@ -65,9 +72,11 @@ class TripleStore {
   void Scan(const TriplePattern& pattern,
             const std::function<bool(const Triple&)>& visit) const;
 
-  /// Number of matches (exact, computed by range subtraction when the
-  /// pattern is a prefix of a permutation). Used for join ordering.
-  std::size_t Count(const TriplePattern& pattern) const;
+  /// Exact number of matches: the width of Range(), two binary searches.
+  /// Used for join ordering.
+  std::size_t Count(const TriplePattern& pattern) const {
+    return Range(pattern).size();
+  }
 
   /// Distinct predicates in the store (diagnostics / stats).
   std::vector<TermId> Predicates() const;

@@ -119,6 +119,33 @@ TEST(ParserTest, Errors) {
       "SELECT ?a WHERE { ?a <b> <c> . } WITHIN 1 2 3 ON ?a", &dict).ok());
 }
 
+TEST(ParserTest, RejectsMalformedRanges) {
+  TermDictionary dict;
+  const std::string bgp =
+      "SELECT ?n WHERE { ?n <rdf:type> <dc:PositionNode> . }";
+  auto rejected = [&](const std::string& tail) {
+    const auto parsed = ParseQuery(bgp + tail, &dict);
+    return !parsed.ok() &&
+           parsed.status().code() == StatusCode::kParseError;
+  };
+  // WITHIN min > max, per axis.
+  EXPECT_TRUE(rejected(" WITHIN 37.0 24.0 36.0 25.0 ON ?n"));
+  EXPECT_TRUE(rejected(" WITHIN 36.0 25.0 37.0 24.0 ON ?n"));
+  // Non-finite WITHIN numbers.
+  EXPECT_TRUE(rejected(" WITHIN nan 24.0 37.0 25.0 ON ?n"));
+  EXPECT_TRUE(rejected(" WITHIN 36.0 -inf 37.0 25.0 ON ?n"));
+  EXPECT_TRUE(rejected(" WITHIN 36.0 24.0 inf 25.0 ON ?n"));
+  EXPECT_TRUE(rejected(" WITHIN 36.0 24.0 37.0 NAN ON ?n"));
+  // DURING start > end, in both instant notations.
+  EXPECT_TRUE(rejected(" DURING 2000 1000 ON ?n"));
+  EXPECT_TRUE(rejected(
+      " DURING 2017-03-21T00:00:00Z 2017-03-20T00:00:00Z ON ?n"));
+  // Degenerate but ordered ranges stay valid.
+  EXPECT_TRUE(ParseQuery(bgp + " WITHIN 36.0 24.0 36.0 24.0 ON ?n", &dict)
+                  .ok());
+  EXPECT_TRUE(ParseQuery(bgp + " DURING 1000 1000 ON ?n", &dict).ok());
+}
+
 TEST(ParserTest, MutatedQueriesYieldStatusNeverCrash) {
   const std::string text =
       "SELECT ?n ?speed WHERE {"

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -179,6 +180,94 @@ TEST_F(QueryEngineTest, UnsatisfiableQueryGivesNoRows) {
   QueryEngine engine(&store_, rdfizer_.get());
   EXPECT_TRUE(engine.ExecuteGlobal(qb.Build()).rows.empty());
   EXPECT_TRUE(engine.ExecuteLocal(qb.Build()).rows.empty());
+}
+
+TEST_F(QueryEngineTest, InvertedBuilderRangesGiveNoRows) {
+  // The parser rejects these ranges; built directly they must still give
+  // empty results through every plan, never UB.
+  const TimestampMs t0 = reports_.front().timestamp;
+  const TimestampMs t1 = t0 + 10 * kMinute;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto type_query = [&](auto constrain) {
+    QueryBuilder qb;
+    qb.Pattern(QueryTerm::Var(qb.Var("node")),
+               QueryTerm::Bound(vocab_.p_type),
+               QueryTerm::Bound(vocab_.c_position_node));
+    qb.WhereVar("node", vocab_.p_speed, "speed");
+    constrain(&qb);
+    return qb.Build();
+  };
+  const Query inverted_time =
+      type_query([&](QueryBuilder* qb) { qb->During("node", t1, t0); });
+  const Query inverted_box = type_query([](QueryBuilder* qb) {
+    qb->Within("node", BoundingBox::Of(36.0, 25.0, 35.0, 24.0));
+  });
+  const Query nan_box = type_query([&](QueryBuilder* qb) {
+    qb->Within("node", BoundingBox::Of(nan, 23.0, 37.0, nan));
+  });
+  const Query inverted_object_time = [&] {
+    QueryBuilder qb;
+    qb.WhereVar("a", vocab_.p_next_node, "b");
+    qb.During("b", t1, t0);
+    return qb.Build();
+  }();
+  ThreadPool pool(4);
+  QueryEngine serial(&store_, rdfizer_.get());
+  QueryEngine pooled(&store_, rdfizer_.get(), &pool);
+  for (const Query* q :
+       {&inverted_time, &inverted_box, &nan_box, &inverted_object_time}) {
+    for (const QueryEngine* engine : {&serial, &pooled}) {
+      EXPECT_TRUE(engine->ExecuteLocal(*q).rows.empty());
+      EXPECT_TRUE(engine->ExecuteGlobal(*q).rows.empty());
+    }
+  }
+  // An inverted DURING range is an empty time-index range: it is the
+  // cheapest start, so partitions seed from it and find nothing.
+  const auto rs = serial.ExecuteLocal(inverted_time);
+  EXPECT_EQ(rs.stats.seed, QuerySeed::kTimeIndex);
+  EXPECT_GT(rs.stats.time_seeds, 0u);
+}
+
+TEST(QueryPruningTest, GlobalPrunesEachPatternByItsOwnVariable) {
+  // One vessel jumps from the south-west corner to the north-east one, so
+  // its nodes land in two partitions with disjoint envelopes. The link
+  // from the last south-west node to the first north-east node is stored
+  // with its subject, in the south-west partition. A WITHIN on the link's
+  // object must not prune that partition from the scan of a pattern
+  // whose subject carries only a DURING.
+  TermDictionary dict;
+  Vocab vocab(&dict);
+  Rdfizer rdfizer(Rdfizer::Config{}, &dict, &vocab);
+  std::vector<Triple> triples;
+  const double lats[] = {35.1, 35.2, 38.8, 38.9};
+  const double lons[] = {23.1, 23.2, 26.8, 26.9};
+  for (int i = 0; i < 4; ++i) {
+    PositionReport r;
+    r.entity_id = 7;
+    r.timestamp = 1490000000000 + i * kMinute;
+    r.position.lat_deg = lats[i];
+    r.position.lon_deg = lons[i];
+    const auto ts = rdfizer.TransformReport(r);
+    triples.insert(triples.end(), ts.begin(), ts.end());
+  }
+  auto scheme = HilbertPartitioner::Build(2, &rdfizer.tags(), rdfizer.grid());
+  PartitionedRdfStore store;
+  store.Load(triples, *scheme, rdfizer.grid(), vocab.p_next_node);
+  ASSERT_FALSE(store.meta(0).bbox.Intersects(store.meta(1).bbox));
+
+  QueryBuilder qb;
+  qb.WhereVar("a", vocab.p_next_node, "b");
+  qb.During("a", 1490000000000, 1490000000000 + kHour);
+  qb.Within("b", BoundingBox::Of(38.7, 26.7, 39.0, 27.0));
+  QueryEngine engine(&store, &rdfizer);
+  const auto rs = engine.ExecuteGlobal(qb.Build());
+  const TermId sw2 = dict.Intern(PositionNodeIri(7, 1490000000000 + kMinute));
+  const TermId ne1 =
+      dict.Intern(PositionNodeIri(7, 1490000000000 + 2 * kMinute));
+  const TermId ne2 =
+      dict.Intern(PositionNodeIri(7, 1490000000000 + 3 * kMinute));
+  EXPECT_EQ(std::set<std::vector<TermId>>(rs.rows.begin(), rs.rows.end()),
+            (std::set<std::vector<TermId>>{{sw2, ne1}, {ne1, ne2}}));
 }
 
 TEST_F(QueryEngineTest, JoinAcrossThreePatterns) {

@@ -135,6 +135,35 @@ TEST_P(TripleStorePatternTest, AllPatternShapesMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TripleStorePatternTest,
                          ::testing::Range(0, 5));
 
+TEST(TripleStoreTest, CountReadsDeduplicatedIndex) {
+  // Every triple is added three times; Count and Range of every pattern
+  // shape must see each distinct triple once.
+  const auto triples = RandomTriples(500, 4321);
+  TripleStore store;
+  for (int copy = 0; copy < 3; ++copy) store.AddBatch(triples);
+  store.Seal();
+  std::set<std::tuple<TermId, TermId, TermId>> ref;
+  for (const Triple& t : triples) ref.insert({t.s, t.p, t.o});
+  ASSERT_EQ(store.size(), ref.size());
+  ASSERT_LT(ref.size(), 3 * triples.size());
+
+  for (const Triple& probe : triples) {
+    for (int shape = 0; shape < 8; ++shape) {
+      const TriplePattern pat{(shape & 1) ? probe.s : 0,
+                              (shape & 2) ? probe.p : 0,
+                              (shape & 4) ? probe.o : 0};
+      std::size_t expected = 0;
+      for (const auto& [s, p, o] : ref) {
+        expected += (pat.s == 0 || s == pat.s) && (pat.p == 0 || p == pat.p) &&
+                    (pat.o == 0 || o == pat.o);
+      }
+      EXPECT_EQ(store.Count(pat), expected)
+          << "pattern (" << pat.s << "," << pat.p << "," << pat.o << ")";
+      EXPECT_EQ(store.Range(pat).size(), expected);
+    }
+  }
+}
+
 TEST(TripleStoreTest, ScanEarlyStop) {
   TripleStore store;
   for (TermId i = 1; i <= 100; ++i) store.Add({i, 1, 1});
