@@ -140,7 +140,9 @@ void AblationSynopsesPath() {
     const double secs = timer.ElapsedSeconds();
     std::printf("%-16s %12zu %12.0f %14.4f %12zu\n",
                 all ? "all_reports" : "synopses", engine.triples().size(),
-                stream.size() / secs, engine.latencies().total_ms.p99(),
+                stream.size() / secs,
+                engine.MetricsSnapshot().histograms.at("engine.report_ns")
+                        .p99() / 1e6,
                 engine.dictionary()->size());
   }
 }

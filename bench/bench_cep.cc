@@ -57,8 +57,8 @@ void Run() {
     std::printf("proximity/collision detector:\n");
     std::printf("  throughput          %10.0f reports/s\n",
                 reports.size() / secs);
-    std::printf("  per-tuple latency   %10.1f us mean, %.1f us max\n",
-                m.process_nanos.mean() / 1e3, m.process_nanos.max() / 1e3);
+    std::printf("  per-tuple latency   %10.1f us p50, %.1f us p99\n",
+                m.latency_ns.p50() / 1e3, m.latency_ns.p99() / 1e3);
     std::printf("  encounters          %10zu\n", encounters);
     std::printf("  collision forecasts %10zu\n", forecasts);
     if (forecasts > 0) {

@@ -47,13 +47,16 @@
 namespace datacron {
 namespace {
 
-/// Stage percentiles are log2-bucket midpoints (DatacronEngine::
-/// StageLatency), so each reads to within about ±25%.
-void PrintStage(const char* name, const DatacronEngine::StageLatency& t) {
+/// One per-report stage histogram of an engine snapshot, in ms. Stage
+/// percentiles are log2-bucket midpoints, so each reads to within about
+/// ±25%.
+void PrintStage(const char* name, const obs::MetricsSnapshot& snap,
+                const char* histogram) {
+  const LogHistogram& ns = snap.histograms.at(histogram);
   std::printf("  %-14s p50 %8.4f ms   p95 %8.4f ms   p99 %8.4f ms   max "
               "%8.3f ms\n",
-              name, t.Percentile(50), t.Percentile(95), t.p99(),
-              t.Percentile(100));
+              name, ns.Percentile(50) / 1e6, ns.Percentile(95) / 1e6,
+              ns.p99() / 1e6, ns.Percentile(100) / 1e6);
 }
 
 DatacronEngine::Config EngineConfig(std::size_t num_shards) {
@@ -459,18 +462,18 @@ int Run(bool quick, const char* trace_out) {
               engine.critical_points(), engine.triples().size(),
               quick ? ", quick" : "");
 
-  const auto& lat = engine.latencies();
-  PrintStage("synopses", lat.synopses_ms);
-  PrintStage("transform", lat.transform_ms);
-  PrintStage("trajectory", lat.trajectory_ms);
-  PrintStage("cep", lat.cep_ms);
-  PrintStage("TOTAL", lat.total_ms);
+  const obs::MetricsSnapshot serial_snap = engine.MetricsSnapshot();
+  PrintStage("synopses", serial_snap, "engine.synopses_ns");
+  PrintStage("transform", serial_snap, "engine.transform_ns");
+  PrintStage("trajectory", serial_snap, "engine.trajectory_ns");
+  PrintStage("cep", serial_snap, "engine.cep_ns");
+  PrintStage("TOTAL", serial_snap, "engine.report_ns");
   std::printf("\n  sustained throughput: %.0f reports/s (%.2f s wall for "
               "%lld min of simulated traffic => %.0fx real time)\n",
               stream.size() / serial_s, serial_s,
               static_cast<long long>(fleet.duration / kMinute),
               (fleet.duration / 1000.0) / serial_s);
-  AddMetricsPhase("serial", engine.MetricsSnapshot());
+  AddMetricsPhase("serial", serial_snap);
 
   // --- Tracing overhead: the same serial loop with spans recording. ---
   // Everything below runs traced; the trace (if requested) covers the
@@ -614,12 +617,21 @@ int Run(bool quick, const char* trace_out) {
                 stream.size() / wall_s, serial_s / wall_s,
                 identical ? "yes" : "NO");
     if (nodes == 4) {
-      std::printf("\n  fleet metrics (4 nodes, keyed rows merged across the "
-                  "transport):\n");
-      Result<std::string> report = cluster.value()->engine().MetricsReport();
-      if (report.ok()) std::printf("%s", report.value().c_str());
-      AddMetricsPhase("cluster_4",
-                      cluster.value()->engine().engine().MetricsSnapshot());
+      std::printf("\n  fleet metrics (4 nodes, node snapshots merged across "
+                  "the transport):\n");
+      Result<obs::MetricsSnapshot> snap =
+          cluster.value()->engine().MetricsSnapshot();
+      if (!snap.ok()) {
+        std::fprintf(stderr, "cluster metrics failed: %s\n",
+                     snap.status().ToString().c_str());
+        return 1;
+      }
+      std::printf("%s", cluster.value()
+                            ->engine()
+                            .engine()
+                            .MetricsReport(snap.value())
+                            .c_str());
+      AddMetricsPhase("cluster_4", std::move(snap).value());
     }
     const Status stop = cluster.value()->Stop();
     if (!stop.ok()) {

@@ -39,7 +39,8 @@ int main() {
   std::printf("transformed into %zu RDF triples, %zu complex events\n",
               engine.triples().size(), events);
   std::printf("per-tuple latency p99: %.4f ms\n",
-              engine.latencies().total_ms.p99());
+              engine.MetricsSnapshot().histograms.at("engine.report_ns").p99() /
+                  1e6);
 
   // 3. Query the data, in the text dialect, over a 4-way
   //    Hilbert-partitioned parallel store.

@@ -80,8 +80,8 @@ class ProximityDetector : public Operator<PositionReport, Event> {
                     ThreadPool* pool, std::vector<Event>* events,
                     std::vector<std::size_t>* offsets);
 
-  /// ProcessBatch + operator-metrics accounting (one latency sample per
-  /// batch, per-item items_in/out).
+  /// ProcessBatch + operator-metrics accounting (per-item items_in/out;
+  /// the batch's cost is split evenly into one latency sample per item).
   void ProcessBatchCounted(std::span<const PositionReport> reports,
                            ThreadPool* pool, std::vector<Event>* events,
                            std::vector<std::size_t>* offsets);

@@ -319,7 +319,7 @@ Result<std::vector<Event>> ClusterEngine::Finish() {
   return local_.FinishFromFlushes(flushes);
 }
 
-Result<std::string> ClusterEngine::MetricsReport() {
+Result<obs::MetricsSnapshot> ClusterEngine::MetricsSnapshot() {
   if (Status s = Connect(); !s.ok()) return s;
   const std::size_t n_nodes = nodes_.size();
   for (std::size_t n = 0; n < n_nodes; ++n) {
@@ -328,34 +328,24 @@ Result<std::string> ClusterEngine::MetricsReport() {
       return s;
     }
   }
-  // Fold rows across nodes by (stage, operator); node 0's row order is
-  // the serial engine's, so the fleet table reads the same.
-  std::vector<MetricsRow> merged;
+  // Each operator and total is counted by exactly one side — keyed work
+  // on the nodes, the global stage and the absorb on the coordinator — so
+  // the merged snapshot is the fleet's.
+  obs::MetricsSnapshot snap = local_.MetricsSnapshot();
   for (std::size_t n = 0; n < n_nodes; ++n) {
     Result<std::string> payload = nodes_[n]->Recv();
     if (!payload.ok()) return payload.status();
     MetricsResultMsg msg;
     if (Status s = Decode(payload.value(), &msg); !s.ok()) return s;
-    for (MetricsRow& row : msg.rows) {
-      MetricsRow* match = nullptr;
-      for (MetricsRow& m : merged) {
-        if (m.stage == row.stage && m.metrics.name == row.metrics.name) {
-          match = &m;
-          break;
-        }
-      }
-      if (match == nullptr) {
-        merged.push_back(std::move(row));
-      } else {
-        match->metrics.Merge(row.metrics);
-        match->instances += row.instances;
-      }
-    }
+    snap.Merge(msg.snapshot);
   }
-  for (MetricsRow& row : local_.GlobalMetricsRows()) {
-    merged.push_back(std::move(row));
-  }
-  return DatacronEngine::RenderMetricsTable(merged);
+  return snap;
+}
+
+Result<std::string> ClusterEngine::MetricsReport() {
+  Result<obs::MetricsSnapshot> snap = MetricsSnapshot();
+  if (!snap.ok()) return snap.status();
+  return local_.MetricsReport(snap.value());
 }
 
 Status ClusterEngine::Shutdown() {

@@ -102,9 +102,13 @@ class ClusterEngine {
   /// merge — the distributed form of DatacronEngine::Finish().
   Result<std::vector<Event>> Finish();
 
-  /// Fleet-wide observability table: per-node keyed operator rows merged
-  /// by (stage, operator) across nodes, plus the coordinator's global
-  /// rows, in DatacronEngine::MetricsReport's format.
+  /// Fleet-wide metrics: the coordinator engine's MetricsSnapshot merged
+  /// with every node's (requested over kMetricsRequest). Counters and
+  /// histogram counts equal a serial engine's over the same stream.
+  Result<obs::MetricsSnapshot> MetricsSnapshot();
+
+  /// MetricsSnapshot() rendered by DatacronEngine::MetricsReport, with
+  /// the coordinator's admission section (its queue is the fleet's).
   Result<std::string> MetricsReport();
 
   /// Tells every node to exit its serve loop and closes the transports.
@@ -113,8 +117,8 @@ class ClusterEngine {
   std::size_t num_nodes() const { return nodes_.size(); }
 
   /// The coordinator-side engine holding the merged global state: its
-  /// triples(), episodes(), trajectories(), dictionary contents and
-  /// latency trackers are the cluster's output.
+  /// triples(), episodes(), trajectories() and dictionary contents are
+  /// the cluster's output.
   const DatacronEngine& engine() const { return local_; }
 
  private:

@@ -115,7 +115,7 @@ Status ClusterNode::Serve() {
       }
       case MsgType::kMetricsRequest: {
         MetricsResultMsg msg;
-        msg.rows = engine_.KeyedMetricsRows();
+        msg.snapshot = engine_.MetricsSnapshot();
         if (Status s = transport_->Send(Encode(msg)); !s.ok()) return s;
         break;
       }

@@ -33,18 +33,6 @@ void RunningStats::Merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-RunningStats RunningStats::FromRaw(std::size_t count, double mean, double m2,
-                                   double min, double max) {
-  RunningStats s;
-  if (count == 0) return s;
-  s.count_ = count;
-  s.mean_ = mean;
-  s.m2_ = m2;
-  s.min_ = min;
-  s.max_ = max;
-  return s;
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 std::string RunningStats::ToString() const {
@@ -70,14 +58,14 @@ double PercentileTracker::Percentile(double p) const {
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
 }
 
-void LogHistogram::Add(double x) {
+void LogHistogram::Add(double x, std::size_t n) {
   const auto v = x <= 0.0 ? std::uint64_t{0} : static_cast<std::uint64_t>(x);
   const std::size_t b =
       v == 0 ? 0
              : std::min<std::size_t>(kBuckets - 1,
                                      64 - std::countl_zero(v));
-  ++counts_[b];
-  ++total_;
+  counts_[b] += n;
+  total_ += n;
 }
 
 void LogHistogram::Merge(const LogHistogram& other) {

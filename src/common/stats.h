@@ -21,10 +21,6 @@ class RunningStats {
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
-  /// Raw sum of squared deviations (Welford's M2) — the mergeable state,
-  /// exposed so accumulators can cross a process boundary (cluster
-  /// metrics) without losing precision through variance().
-  double m2() const { return m2_; }
   /// Population variance; 0 for fewer than 2 samples.
   double variance() const { return count_ > 1 ? m2_ / count_ : 0.0; }
   double stddev() const;
@@ -33,12 +29,6 @@ class RunningStats {
   double sum() const { return mean_ * count_; }
 
   std::string ToString() const;
-
-  /// Reconstructs an accumulator from its raw state (the inverse of
-  /// count()/mean()/m2()/min()/max()); a decoded instance merges exactly
-  /// like the original. `count == 0` yields an empty accumulator.
-  static RunningStats FromRaw(std::size_t count, double mean, double m2,
-                              double min, double max);
 
   bool operator==(const RunningStats&) const = default;
 
@@ -85,7 +75,8 @@ class PercentileTracker {
 /// latency reporting.
 class LogHistogram {
  public:
-  void Add(double x);
+  /// Records `n` samples of value `x`.
+  void Add(double x, std::size_t n = 1);
   void Merge(const LogHistogram& other);
 
   std::size_t count() const { return total_; }

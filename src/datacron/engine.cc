@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
+#include <string_view>
 
 #include "common/flat_hash.h"
 #include "common/thread_pool.h"
@@ -27,21 +28,10 @@ static_assert(HotspotDetector::kStage == StageKind::kGlobal);
 
 DatacronEngine::DatacronEngine(Config config)
     : config_(std::move(config)),
-      reports_counter_(
-          obs::MetricsRegistry::Global().counter("engine.reports")),
-      cp_counter_(
-          obs::MetricsRegistry::Global().counter("engine.critical_points")),
       merge_terms_counter_(
           obs::MetricsRegistry::Global().counter("engine.merge_terms")),
       merge_terms_hist_(obs::MetricsRegistry::Global().histogram(
           "engine.merge_terms_per_epoch")),
-      synopses_hist_(
-          obs::MetricsRegistry::Global().histogram("engine.synopses_ns")),
-      transform_hist_(
-          obs::MetricsRegistry::Global().histogram("engine.transform_ns")),
-      trajectory_hist_(
-          obs::MetricsRegistry::Global().histogram("engine.trajectory_ns")),
-      cep_hist_(obs::MetricsRegistry::Global().histogram("engine.cep_ns")),
       vocab_(std::make_unique<Vocab>(&dict_)),
       rdfizer_(std::make_unique<Rdfizer>(config_.rdf, &dict_, vocab_.get())),
       proximity_(config_.proximity) {
@@ -164,26 +154,6 @@ void DatacronEngine::ProcessKeyedArena(std::size_t shard_idx,
   slot->keyed_cep_ns = MonotonicNanos() - t2;
 }
 
-void DatacronEngine::RecordReportLatencies(std::int64_t synopses_ns,
-                                           std::int64_t transform_ns,
-                                           std::int64_t keyed_cep_ns,
-                                           std::int64_t trajectory_ns,
-                                           std::int64_t global_cep_ns) {
-  latencies_.synopses_ms.AddNanos(synopses_ns);
-  latencies_.transform_ms.AddNanos(transform_ns);
-  latencies_.trajectory_ms.AddNanos(trajectory_ns);
-  latencies_.cep_ms.AddNanos(keyed_cep_ns + global_cep_ns);
-  latencies_.total_ms.AddNanos(synopses_ns + transform_ns + keyed_cep_ns +
-                               trajectory_ns + global_cep_ns);
-
-  // Always-on per-stage epoch timeline in the unified registry; two
-  // relaxed adds per stage per report.
-  synopses_hist_->Observe(static_cast<double>(synopses_ns));
-  transform_hist_->Observe(static_cast<double>(transform_ns));
-  trajectory_hist_->Observe(static_cast<double>(trajectory_ns));
-  cep_hist_->Observe(static_cast<double>(keyed_cep_ns + global_cep_ns));
-}
-
 std::vector<std::vector<TermId>> DatacronEngine::MergeEpochTerms(
     std::span<const ShardSlot> slots, std::span<const EpochArena> arenas) {
   // One coalesced dictionary merge for the whole epoch. Each report's new
@@ -263,7 +233,7 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
     prox_ns = MonotonicNanos() - b0;
   }
   // The batch cost is attributed evenly across the epoch's reports in
-  // the per-report latency trackers.
+  // the per-report stage histograms.
   const std::int64_t prox_share_ns =
       items.empty() ? 0
                     : prox_ns / static_cast<std::int64_t>(items.size());
@@ -283,8 +253,6 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
     ShardSlot& from = prev[slot.shard];
     ++reports_ingested_;
     critical_points_ += slot.cp_count;
-    reports_counter_->Add();
-    cp_counter_->Add(slot.cp_count);
 
     const std::int64_t t0 = MonotonicNanos();
     triples_.insert(triples_.end(), a.triples.begin() + from.triples_end,
@@ -318,9 +286,14 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
     const std::int64_t t2 = MonotonicNanos();
     from = slot;
 
-    RecordReportLatencies(slot.synopses_ns, slot.transform_ns,
-                          slot.keyed_cep_ns, t1 - t0,
-                          (t2 - t1) + prox_share_ns);
+    const std::int64_t trajectory_ns = t1 - t0;
+    const std::int64_t cep_ns = slot.keyed_cep_ns + (t2 - t1) + prox_share_ns;
+    synopses_ns_.Add(static_cast<double>(slot.synopses_ns));
+    transform_ns_.Add(static_cast<double>(slot.transform_ns));
+    trajectory_ns_.Add(static_cast<double>(trajectory_ns));
+    cep_ns_.Add(static_cast<double>(cep_ns));
+    report_ns_.Add(static_cast<double>(slot.synopses_ns + slot.transform_ns +
+                                       trajectory_ns + cep_ns));
   }
 
   // Hotspot counts are summed (order-independent), so the per-shard maps
@@ -540,36 +513,64 @@ TripleStore DatacronEngine::BuildStore(ThreadPool* pool) const {
   return store;
 }
 
-std::vector<MetricsRow> DatacronEngine::KeyedMetricsRows() const {
-  std::vector<MetricsRow> rows;
-  const auto merged = [this](auto member) {
-    OperatorMetrics m;
-    for (const Shard& s : shards_) m.Merge((s.*member).metrics());
-    return m;
+obs::MetricsSnapshot DatacronEngine::MetricsSnapshot() const {
+  obs::MetricsSnapshot snap;
+  // Operators count as instances once this engine has run their half of
+  // the dataflow. A cluster node runs only the keyed half and the
+  // coordinator only the global half, so merged over a cluster the keyed
+  // rows count the nodes' shards and the global rows count one.
+  bool ran_keyed = false;
+  for (const Shard& s : shards_) {
+    ran_keyed = ran_keyed || s.detector.metrics().items_in > 0;
+  }
+  const bool ran_global = proximity_.metrics().items_in > 0;
+  // Each shard's instance folds in on its own: keyed rows sum over shards
+  // here exactly as they sum over nodes in a cluster merge.
+  const auto add = [&snap](const char* stage, const OperatorMetrics& m,
+                           bool ran) {
+    const std::string prefix = std::string("engine.") + stage + "." + m.name;
+    snap.AddCounter(prefix + ".items_in", m.items_in);
+    snap.AddCounter(prefix + ".items_out", m.items_out);
+    snap.AddCounter(prefix + ".instances", ran ? 1 : 0);
+    snap.AddHistogram(prefix + ".process_ns", m.latency_ns);
   };
-  const std::size_t n = shards_.size();
-  rows.push_back({"synopses", merged(&Shard::detector), n});
-  rows.push_back({"cep-keyed", merged(&Shard::area_events), n});
-  rows.push_back({"cep-keyed", merged(&Shard::loitering), n});
-  rows.push_back({"cep-keyed", merged(&Shard::gap), n});
-  rows.push_back({"cep-keyed", merged(&Shard::speed_anomaly), n});
-  return rows;
-}
-
-std::vector<MetricsRow> DatacronEngine::GlobalMetricsRows() const {
-  std::vector<MetricsRow> rows;
-  rows.push_back({"cep-global", proximity_.metrics(), 1});
+  for (const Shard& s : shards_) {
+    add("synopses", s.detector.metrics(), ran_keyed);
+    add("cep-keyed", s.area_events.metrics(), ran_keyed);
+    add("cep-keyed", s.loitering.metrics(), ran_keyed);
+    add("cep-keyed", s.gap.metrics(), ran_keyed);
+    add("cep-keyed", s.speed_anomaly.metrics(), ran_keyed);
+  }
+  add("cep-global", proximity_.metrics(), ran_global);
   if (capacity_ != nullptr) {
-    rows.push_back({"cep-global", capacity_->metrics(), 1});
+    add("cep-global", capacity_->metrics(), ran_global);
   }
   if (hotspots_ != nullptr) {
-    rows.push_back({"cep-global", hotspots_->metrics(), 1});
+    add("cep-global", hotspots_->metrics(), ran_global);
   }
-  return rows;
+  snap.AddCounter("engine.reports", reports_ingested_);
+  snap.AddCounter("engine.critical_points", critical_points_);
+  snap.AddCounter("engine.triples", triples_.size());
+  snap.AddCounter("engine.episodes", episodes_.size());
+  snap.AddCounter("engine.admission_dropped", admission_dropped_);
+  snap.AddHistogram("engine.synopses_ns", synopses_ns_);
+  snap.AddHistogram("engine.transform_ns", transform_ns_);
+  snap.AddHistogram("engine.trajectory_ns", trajectory_ns_);
+  snap.AddHistogram("engine.cep_ns", cep_ns_);
+  snap.AddHistogram("engine.report_ns", report_ns_);
+  return snap;
 }
 
-std::string DatacronEngine::RenderMetricsTable(
-    std::span<const MetricsRow> rows) {
+std::string DatacronEngine::MetricsReport() const {
+  return MetricsReport(MetricsSnapshot());
+}
+
+std::string DatacronEngine::MetricsReport(
+    const obs::MetricsSnapshot& snap) const {
+  const auto counter = [&snap](const std::string& name) -> std::size_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line),
@@ -577,33 +578,38 @@ std::string DatacronEngine::RenderMetricsTable(
                 "operator", "shards", "items_in", "items_out", "sel%",
                 "p50_ns", "p99_ns");
   out += line;
-  for (const MetricsRow& r : rows) {
+  // One row per "engine.<stage>.<operator>.items_in" counter, in the
+  // snapshot's name order.
+  constexpr std::string_view kRoot = "engine.";
+  constexpr std::string_view kItemsIn = ".items_in";
+  for (const auto& [name, items_in] : snap.counters) {
+    if (!name.starts_with(kRoot) || !name.ends_with(kItemsIn)) continue;
+    const std::string prefix = name.substr(0, name.size() - kItemsIn.size());
+    const std::size_t dot = prefix.find('.', kRoot.size());
+    if (dot == std::string::npos) continue;
+    const std::string stage =
+        prefix.substr(kRoot.size(), dot - kRoot.size());
+    const std::string op = prefix.substr(dot + 1);
+    const std::size_t items_out = counter(prefix + ".items_out");
+    const auto hist = snap.histograms.find(prefix + ".process_ns");
+    const LogHistogram ns =
+        hist == snap.histograms.end() ? LogHistogram() : hist->second;
     std::snprintf(line, sizeof(line),
                   "%-10s %-24s %6zu %10zu %10zu %6.1f%% %10.0f %10.0f\n",
-                  r.stage.c_str(), r.metrics.name.c_str(), r.instances,
-                  r.metrics.items_in, r.metrics.items_out,
-                  r.metrics.SelectivityPct(), r.metrics.latency_ns.p50(),
-                  r.metrics.latency_ns.p99());
+                  stage.c_str(), op.c_str(), counter(prefix + ".instances"),
+                  static_cast<std::size_t>(items_in), items_out,
+                  items_in == 0 ? 0.0 : 100.0 * items_out / items_in,
+                  ns.p50(), ns.p99());
     out += line;
   }
-  return out;
-}
-
-std::string DatacronEngine::MetricsReport() const {
-  std::vector<MetricsRow> rows = KeyedMetricsRows();
-  std::vector<MetricsRow> global = GlobalMetricsRows();
-  rows.insert(rows.end(), std::make_move_iterator(global.begin()),
-              std::make_move_iterator(global.end()));
-  std::string out = RenderMetricsTable(rows);
   // A lossy admission policy is part of the engine's observable contract,
   // so the report names it even before anything was shed.
-  if (admission_dropped_ > 0 ||
-      config_.admission != AdmissionPolicy::kBlock) {
-    char line[160];
+  const std::size_t dropped = counter("engine.admission_dropped");
+  if (dropped > 0 || config_.admission != AdmissionPolicy::kBlock) {
     std::snprintf(line, sizeof(line),
                   "admission: policy=%s dropped=%zu entities_hit=%zu\n",
-                  AdmissionPolicyName(config_.admission),
-                  admission_dropped_, admission_drops_.size());
+                  AdmissionPolicyName(config_.admission), dropped,
+                  admission_drops_.size());
     out += line;
     // Worst offenders first so the report names who was shed.
     std::vector<std::pair<std::uint64_t, std::size_t>> by_count =
@@ -622,24 +628,6 @@ std::string DatacronEngine::MetricsReport() const {
     }
   }
   return out;
-}
-
-obs::MetricsSnapshot DatacronEngine::MetricsSnapshot() const {
-  obs::MetricsSnapshot snap;
-  std::vector<MetricsRow> rows = KeyedMetricsRows();
-  std::vector<MetricsRow> global = GlobalMetricsRows();
-  rows.insert(rows.end(), std::make_move_iterator(global.begin()),
-              std::make_move_iterator(global.end()));
-  for (const MetricsRow& r : rows) {
-    obs::AddOperatorMetrics("engine." + r.stage + "." + r.metrics.name,
-                            r.metrics, &snap);
-  }
-  snap.AddCounter("engine.reports", reports_ingested_);
-  snap.AddCounter("engine.critical_points", critical_points_);
-  snap.AddCounter("engine.triples", triples_.size());
-  snap.AddCounter("engine.episodes", episodes_.size());
-  snap.AddCounter("admission.dropped", admission_dropped_);
-  return snap;
 }
 
 std::unique_ptr<AdmissionQueue<PositionReport>>

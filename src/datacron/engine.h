@@ -64,17 +64,6 @@ struct KeyedFlush {
   bool operator==(const KeyedFlush&) const = default;
 };
 
-/// One row of the per-stage observability table; keyed rows merge across
-/// shards (and, in a cluster, across nodes).
-struct MetricsRow {
-  std::string stage;
-  OperatorMetrics metrics;
-  /// Shard/node instances folded into `metrics`.
-  std::size_t instances = 1;
-
-  bool operator==(const MetricsRow&) const = default;
-};
-
 /// The overall datAcron architecture (paper Section 2) as one object:
 ///
 ///   data sources -> in-situ processing (synopses) -> data transformation
@@ -83,7 +72,7 @@ struct MetricsRow {
 ///
 /// Ingest() pushes one report through every stage and accounts wall time
 /// per stage — the "operational latency in ms" requirement of Section 4
-/// is validated by E10 over these trackers.
+/// is validated by E10 over MetricsSnapshot()'s engine.*_ns histograms.
 ///
 /// The engine is key-partitioned: every per-entity ("keyed") operator —
 /// synopses, keyed CEP detectors, episode building, per-entity RDF
@@ -295,57 +284,40 @@ class DatacronEngine {
   /// forecaster; heavier predictors are offline-trained, see forecast/).
   const DeadReckoningPredictor& predictor() const { return predictor_; }
 
-  // -- per-stage ms latency -------------------------------------------
-
-  /// One stage's per-report wall time in ms, kept as a nanosecond
-  /// LogHistogram: O(1) memory, and const reads never mutate.
-  /// Percentiles are log2-bucket midpoints (about ±25%).
-  class StageLatency {
-   public:
-    void AddNanos(std::int64_t ns) { ns_.Add(static_cast<double>(ns)); }
-    std::size_t count() const { return ns_.count(); }
-    double Percentile(double p) const { return ns_.Percentile(p) / 1e6; }
-    double p99() const { return Percentile(99); }
-   private:
-    LogHistogram ns_;
-  };
-
-  struct StageLatencies {
-    StageLatency synopses_ms;
-    StageLatency transform_ms;
-    StageLatency cep_ms;
-    StageLatency trajectory_ms;
-    StageLatency total_ms;
-  };
-  const StageLatencies& latencies() const { return latencies_; }
+  // -- metrics ---------------------------------------------------------
 
   std::size_t reports_ingested() const { return reports_ingested_; }
   std::size_t critical_points() const { return critical_points_; }
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// Formatted per-stage, per-detector observability table: items in/out,
-  /// selectivity and p50/p99 process nanos. Keyed operators report their
-  /// per-shard metrics merged via OperatorMetrics::Merge. When reports
-  /// were shed by a kDropOldest admission queue (IngestFromQueue), an
-  /// admission section lists total and per-entity drop counts.
-  std::string MetricsReport() const;
-
-  /// The unified observability snapshot: every operator row folded in as
-  /// "engine.<stage>.<operator>.*" counters/histograms, per-stage latency
-  /// histograms, report/critical-point totals and admission drops — one
-  /// mergeable object in the src/obs registry format.
+  /// The engine's only metrics export: one mergeable snapshot in the
+  /// src/obs format, built from this engine's own counters. It holds
+  ///  - per operator instance, folded shard by shard:
+  ///    "engine.<stage>.<operator>.items_in/items_out/instances" counters
+  ///    and a ".process_ns" histogram (one sample per item in);
+  ///    "instances" counts the shards of a keyed operator (one for a
+  ///    global one) once this engine has run that half of the dataflow,
+  ///    so merged across a cluster the keyed rows count the nodes' shards
+  ///    and not the coordinator's idle ones;
+  ///  - "engine.reports/critical_points/triples/episodes" totals and
+  ///    "engine.admission_dropped" (the latest admission queue's drops);
+  ///  - per-report stage wall times as "engine.synopses_ns",
+  ///    "engine.transform_ns", "engine.trajectory_ns", "engine.cep_ns" and
+  ///    their sum "engine.report_ns".
+  /// No name here is also published by obs::MetricsRegistry::Global(), so
+  /// the two merge without double counting.
   obs::MetricsSnapshot MetricsSnapshot() const;
 
-  /// The keyed (entity-partitioned) rows of MetricsReport, merged across
-  /// local shards. Cluster nodes ship these to the coordinator, which
-  /// folds them across nodes into one fleet-wide table.
-  std::vector<MetricsRow> KeyedMetricsRows() const;
+  /// MetricsReport(MetricsSnapshot()).
+  std::string MetricsReport() const;
 
-  /// The global (cross-entity) rows: proximity, capacity, hotspot.
-  std::vector<MetricsRow> GlobalMetricsRows() const;
-
-  /// Renders rows in MetricsReport's table format.
-  static std::string RenderMetricsTable(std::span<const MetricsRow> rows);
+  /// Renders `snap` (this engine's snapshot, or one merged across a
+  /// cluster) as the per-stage, per-operator table — shards (instances),
+  /// items in/out, selectivity and p50/p99 process ns — followed by this
+  /// engine's admission section: when a kDropOldest policy is configured
+  /// or reports were shed (IngestFromQueue / RecordAdmissionDrops), the
+  /// policy, the total and the per-entity drop counts.
+  std::string MetricsReport(const obs::MetricsSnapshot& snap) const;
 
  private:
   /// All keyed (entity-partitioned) state. Each entity is owned by
@@ -392,27 +364,12 @@ class DatacronEngine {
   std::vector<std::vector<TermId>> MergeEpochTerms(
       std::span<const ShardSlot> slots, std::span<const EpochArena> arenas);
 
-  /// Folds one report's stage timings into latencies() and the always-on
-  /// registry histograms.
-  void RecordReportLatencies(std::int64_t synopses_ns,
-                             std::int64_t transform_ns,
-                             std::int64_t keyed_cep_ns,
-                             std::int64_t trajectory_ns,
-                             std::int64_t global_cep_ns);
-
   Config config_;
   TermDictionary dict_;
-  /// Registry instruments for the per-report and per-epoch global-stage
-  /// hot paths, resolved once at construction (no static-guard check per
-  /// report).
-  obs::Counter* reports_counter_;
-  obs::Counter* cp_counter_;
+  /// Process-wide registry instruments for the per-epoch term merge,
+  /// resolved once at construction (no static-guard check per epoch).
   obs::Counter* merge_terms_counter_;
   obs::AtomicLogHistogram* merge_terms_hist_;
-  obs::AtomicLogHistogram* synopses_hist_;
-  obs::AtomicLogHistogram* transform_hist_;
-  obs::AtomicLogHistogram* trajectory_hist_;
-  obs::AtomicLogHistogram* cep_hist_;
   std::unique_ptr<Vocab> vocab_;
   std::unique_ptr<Rdfizer> rdfizer_;
   std::vector<Shard> shards_;
@@ -427,7 +384,13 @@ class DatacronEngine {
   TrajectoryStore trajectories_;
   DeadReckoningPredictor predictor_;
   std::vector<Triple> triples_;
-  StageLatencies latencies_;
+  /// Per-report stage wall times in ns (MetricsSnapshot's engine.*_ns);
+  /// the AbsorbEpoch walk is their only writer.
+  LogHistogram synopses_ns_;
+  LogHistogram transform_ns_;
+  LogHistogram trajectory_ns_;
+  LogHistogram cep_ns_;
+  LogHistogram report_ns_;
   std::size_t reports_ingested_ = 0;
   std::size_t critical_points_ = 0;
   /// AbsorbEpoch scratch for the epoch-batched proximity stage, reused

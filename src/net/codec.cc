@@ -1,6 +1,8 @@
 #include "net/codec.h"
 
 #include <limits>
+#include <map>
+#include <type_traits>
 #include <utility>
 
 namespace datacron {
@@ -280,8 +282,6 @@ Status Get(WireReader& r, EntityRdfContinuation* c) {
 // whose Put/Get pairs are defined further down.
 void Put(WireWriter& w, const DatacronEngine::ShardSlot& slot);
 Status Get(WireReader& r, DatacronEngine::ShardSlot* slot);
-void Put(WireWriter& w, const MetricsRow& row);
-Status Get(WireReader& r, MetricsRow* row);
 
 /// Vector helper over any element with a Put/Get pair above.
 template <typename T>
@@ -436,54 +436,27 @@ Status Get(WireReader& r, KeyedFlush* f) {
   return Status::OK();
 }
 
-/// OperatorMetrics ships its mergeable raw state: the Welford accumulator
-/// fields and the nonzero histogram buckets (sparse — most of the 64 log2
-/// buckets are empty for any real latency distribution).
-void Put(WireWriter& w, const OperatorMetrics& m) {
-  w.Str(m.name);
-  w.U64(m.items_in);
-  w.U64(m.items_out);
-  w.U64(m.process_nanos.count());
-  w.F64(m.process_nanos.mean());
-  w.F64(m.process_nanos.m2());
-  w.F64(m.process_nanos.min());
-  w.F64(m.process_nanos.max());
+/// A histogram travels as its nonzero buckets, ascending (sparse — most
+/// of the 64 log2 buckets are empty for any real latency distribution).
+void Put(WireWriter& w, const LogHistogram& h) {
   std::uint32_t nonzero = 0;
   for (std::size_t b = 0; b < LogHistogram::num_buckets(); ++b) {
-    if (m.latency_ns.bucket_count(b) != 0) ++nonzero;
+    if (h.bucket_count(b) != 0) ++nonzero;
   }
   w.U32(nonzero);
   for (std::size_t b = 0; b < LogHistogram::num_buckets(); ++b) {
-    const std::size_t c = m.latency_ns.bucket_count(b);
+    const std::size_t c = h.bucket_count(b);
     if (c == 0) continue;
     w.U8(static_cast<std::uint8_t>(b));
     w.U64(c);
   }
 }
-constexpr std::size_t kMinMetricsBytes = 64;
 
-Status Get(WireReader& r, OperatorMetrics* m) {
-  DC_RET(r.Str(&m->name));
-  std::uint64_t items_in = 0;
-  std::uint64_t items_out = 0;
-  DC_RET(r.U64(&items_in));
-  DC_RET(r.U64(&items_out));
-  m->items_in = items_in;
-  m->items_out = items_out;
-  std::uint64_t count = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  DC_RET(r.U64(&count));
-  DC_RET(r.F64(&mean));
-  DC_RET(r.F64(&m2));
-  DC_RET(r.F64(&min));
-  DC_RET(r.F64(&max));
-  m->process_nanos = RunningStats::FromRaw(count, mean, m2, min, max);
+Status Get(WireReader& r, LogHistogram* h) {
   std::size_t buckets = 0;
   DC_RET(r.Count(&buckets, /*min_element_bytes=*/9));
-  m->latency_ns = LogHistogram();
+  *h = LogHistogram();
+  std::uint8_t prev_bucket = 0;
   for (std::size_t i = 0; i < buckets; ++i) {
     std::uint8_t b = 0;
     std::uint64_t c = 0;
@@ -492,24 +465,68 @@ Status Get(WireReader& r, OperatorMetrics* m) {
     if (b >= LogHistogram::num_buckets() || c == 0) {
       return Status::ParseError("bad histogram bucket");
     }
-    m->latency_ns.AddBucketCount(b, c);
+    if (i > 0 && b <= prev_bucket) {
+      return Status::ParseError("histogram buckets not ascending");
+    }
+    if (c > std::numeric_limits<std::size_t>::max() - h->count()) {
+      return Status::ParseError("histogram total overflows");
+    }
+    prev_bucket = b;
+    h->AddBucketCount(b, c);
   }
   return Status::OK();
 }
 
-void Put(WireWriter& w, const MetricsRow& row) {
-  w.Str(row.stage);
-  Put(w, row.metrics);
-  w.U64(row.instances);
+/// One name-sorted section of a snapshot: u32 count, then (name, value)
+/// pairs in strictly ascending name order.
+template <typename V>
+void PutSection(WireWriter& w, const std::map<std::string, V>& section) {
+  w.U32(static_cast<std::uint32_t>(section.size()));
+  for (const auto& [name, value] : section) {
+    w.Str(name);
+    if constexpr (std::is_same_v<V, LogHistogram>) {
+      Put(w, value);
+    } else {
+      w.U64(static_cast<std::uint64_t>(value));
+    }
+  }
 }
-constexpr std::size_t kMinRowBytes = 4 + kMinMetricsBytes + 8;
 
-Status Get(WireReader& r, MetricsRow* row) {
-  DC_RET(r.Str(&row->stage));
-  DC_RET(Get(r, &row->metrics));
-  std::uint64_t instances = 0;
-  DC_RET(r.U64(&instances));
-  row->instances = instances;
+template <typename V>
+Status GetSection(WireReader& r, std::map<std::string, V>* section,
+                  std::size_t min_value_bytes) {
+  std::size_t n = 0;
+  DC_RET(r.Count(&n, sizeof(std::uint32_t) + min_value_bytes));
+  section->clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string name;
+    DC_RET(r.Str(&name));
+    if (!section->empty() && name <= section->rbegin()->first) {
+      return Status::ParseError("metric names not ascending");
+    }
+    V value{};
+    if constexpr (std::is_same_v<V, LogHistogram>) {
+      DC_RET(Get(r, &value));
+    } else {
+      std::uint64_t raw = 0;
+      DC_RET(r.U64(&raw));
+      value = static_cast<V>(raw);
+    }
+    section->emplace_hint(section->end(), std::move(name), std::move(value));
+  }
+  return Status::OK();
+}
+
+void Put(WireWriter& w, const obs::MetricsSnapshot& snap) {
+  PutSection(w, snap.counters);
+  PutSection(w, snap.gauges);
+  PutSection(w, snap.histograms);
+}
+
+Status Get(WireReader& r, obs::MetricsSnapshot* snap) {
+  DC_RET(GetSection(r, &snap->counters, sizeof(std::uint64_t)));
+  DC_RET(GetSection(r, &snap->gauges, sizeof(std::uint64_t)));
+  DC_RET(GetSection(r, &snap->histograms, sizeof(std::uint32_t)));
   return Status::OK();
 }
 
@@ -577,7 +594,7 @@ std::string Encode(const FlushResultMsg& msg) {
 
 std::string Encode(const MetricsResultMsg& msg) {
   WireWriter w = Envelope(MsgType::kMetricsResult);
-  PutVec(w, msg.rows);
+  Put(w, msg.snapshot);
   return w.Take();
 }
 
@@ -684,7 +701,7 @@ Status Decode(const std::string& payload, FlushResultMsg* msg) {
 Status Decode(const std::string& payload, MetricsResultMsg* msg) {
   WireReader r(payload);
   DC_RET(OpenEnvelope(r, MsgType::kMetricsResult));
-  DC_RET(GetVec(r, &msg->rows, kMinRowBytes));
+  DC_RET(Get(r, &msg->snapshot));
   return r.ExpectEnd();
 }
 

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "datacron/engine.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "rdf/term.h"
 
 namespace datacron {
@@ -32,7 +33,7 @@ namespace datacron {
 ///   coordinator -> FlushRequest     end-of-stream
 ///   node        -> FlushResult      the node's KeyedFlush
 ///   coordinator -> MetricsRequest
-///   node        -> MetricsResult    keyed operator rows, raw counters
+///   node        -> MetricsResult    the node engine's MetricsSnapshot
 ///   coordinator -> Shutdown         node serve loop exits
 ///
 /// Subscription tier (subscriber <-> coordinator, coordinator -> node):
@@ -131,8 +132,13 @@ struct FlushResultMsg {
   bool operator==(const FlushResultMsg&) const = default;
 };
 
+/// A node's DatacronEngine::MetricsSnapshot. Names travel sorted and
+/// each histogram as its nonzero buckets in ascending order; the decoder
+/// rejects anything else (repeated or unsorted names or buckets, a bucket
+/// index >= LogHistogram::num_buckets(), a zero bucket count, a histogram
+/// total that overflows), so Encode(Decode(x)) == x.
 struct MetricsResultMsg {
-  std::vector<MetricsRow> rows;
+  obs::MetricsSnapshot snapshot;
 
   bool operator==(const MetricsResultMsg&) const = default;
 };

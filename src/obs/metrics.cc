@@ -3,8 +3,6 @@
 #include <bit>
 #include <cstdio>
 
-#include "stream/operator.h"
-
 namespace datacron {
 namespace obs {
 
@@ -168,13 +166,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.histograms.emplace(name, h->Snapshot());
   }
   return snap;
-}
-
-void AddOperatorMetrics(const std::string& prefix, const OperatorMetrics& m,
-                        MetricsSnapshot* snap) {
-  snap->AddCounter(prefix + ".items_in", m.items_in);
-  snap->AddCounter(prefix + ".items_out", m.items_out);
-  snap->AddHistogram(prefix + ".process_ns", m.latency_ns);
 }
 
 }  // namespace obs

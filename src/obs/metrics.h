@@ -13,9 +13,6 @@
 #include "common/stats.h"
 
 namespace datacron {
-
-struct OperatorMetrics;
-
 namespace obs {
 
 /// Process-wide named counters/gauges/histograms. One registry serves the
@@ -83,10 +80,9 @@ class AtomicLogHistogram {
   std::atomic<std::uint64_t> total_{0};
 };
 
-/// A point-in-time copy of a registry (or of any other metrics source —
-/// the engine's operator table folds in through AddOperatorMetrics).
-/// Snapshots merge across shards, nodes and processes, and dump to a
-/// stable sorted text table or JSON object.
+/// A point-in-time copy of a registry or of one engine
+/// (DatacronEngine::MetricsSnapshot). Snapshots merge across shards, nodes
+/// and processes, and dump to a stable sorted text table or JSON object.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
@@ -138,13 +134,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<AtomicLogHistogram>, std::less<>>
       histograms_;
 };
-
-/// Folds one operator's legacy counters (stream/operator.h) into a
-/// snapshot as "<prefix>.items_in", "<prefix>.items_out" counters and a
-/// "<prefix>.process_ns" histogram — the bridge that lets the scattered
-/// OperatorMetrics tables land in the unified snapshot.
-void AddOperatorMetrics(const std::string& prefix, const OperatorMetrics& m,
-                        MetricsSnapshot* snap);
 
 }  // namespace obs
 }  // namespace datacron

@@ -24,7 +24,8 @@ namespace datacron {
 enum class StageKind : std::uint8_t { kKeyed = 0, kGlobal };
 
 /// Per-operator counters; each operator owns one and the pipeline runner
-/// aggregates them. Latency is measured per Process() call in nanoseconds.
+/// aggregates them. Latency is measured per Process() call in nanoseconds,
+/// so latency_ns holds one sample per item in.
 ///
 /// The counters are deliberately *mergeable* (Merge below): anything that
 /// runs an operator from more than one thread — the sharded runtime's
@@ -35,8 +36,6 @@ struct OperatorMetrics {
   std::string name;
   std::size_t items_in = 0;
   std::size_t items_out = 0;
-  RunningStats process_nanos;
-  /// Same samples as process_nanos, log-bucketed for p50/p99 readout.
   LogHistogram latency_ns;
 
   double SelectivityPct() const {
@@ -51,7 +50,6 @@ struct OperatorMetrics {
     if (name.empty()) name = other.name;
     items_in += other.items_in;
     items_out += other.items_out;
-    process_nanos.Merge(other.process_nanos);
     latency_ns.Merge(other.latency_ns);
   }
 };
@@ -77,9 +75,7 @@ class Operator {
     const std::size_t before = out->size();
     const std::int64_t t0 = MonotonicNanos();
     Process(item, out);
-    const double dt = static_cast<double>(MonotonicNanos() - t0);
-    metrics_.process_nanos.Add(dt);
-    metrics_.latency_ns.Add(dt);
+    metrics_.latency_ns.Add(static_cast<double>(MonotonicNanos() - t0));
     ++metrics_.items_in;
     metrics_.items_out += out->size() - before;
   }
@@ -89,14 +85,16 @@ class Operator {
  protected:
   /// Metrics accounting for operators that consume whole batches outside
   /// ProcessCounted (the epoch-batched global CEP path): `items_in`
-  /// elements in, `items_out` emitted, one latency sample covering the
-  /// whole batch. Keeps items_in/out comparable with a per-item run while
-  /// making explicit that the latency distribution is per batch.
+  /// elements in, `items_out` emitted, and the batch's cost split evenly
+  /// into one latency sample per item. Every counter and the sample count
+  /// then match a per-item run of the same stream, at any batch size.
   void CountBatch(std::size_t items_in, std::size_t items_out,
                   std::int64_t nanos) {
-    const double dt = static_cast<double>(nanos);
-    metrics_.process_nanos.Add(dt);
-    metrics_.latency_ns.Add(dt);
+    if (items_in > 0) {
+      metrics_.latency_ns.Add(
+          static_cast<double>(nanos) / static_cast<double>(items_in),
+          items_in);
+    }
     metrics_.items_in += items_in;
     metrics_.items_out += items_out;
   }

@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/local_cluster.h"
+#include "common/thread_pool.h"
 #include "datacron/engine.h"
 #include "net/codec.h"
 #include "net/transport.h"
@@ -274,6 +277,65 @@ TEST(ClusterTest, FleetMetricsMergeAcrossNodes) {
   }
   EXPECT_NE(report.value().find("cep-keyed"), std::string::npos);
   EXPECT_NE(report.value().find("cep-global"), std::string::npos);
+  ASSERT_TRUE(cluster.value()->Stop().ok());
+}
+
+/// Counters and histogram sample counts of a snapshot; "*.instances"
+/// counters are left out, as they count shards or nodes by design.
+/// Histogram buckets hold timings and may differ between runs.
+std::map<std::string, std::uint64_t> ExactMetrics(
+    const obs::MetricsSnapshot& snap) {
+  std::map<std::string, std::uint64_t> exact;
+  for (const auto& [name, v] : snap.counters) {
+    if (!name.ends_with(".instances")) exact[name] = v;
+  }
+  for (const auto& [name, h] : snap.histograms) {
+    exact[name + ".count"] = h.count();
+  }
+  return exact;
+}
+
+TEST(ClusterTest, FleetMetricsEqualSerialAndShardedMetrics) {
+  const auto stream = MixedStream();
+  DatacronEngine serial(ClusterConfig());
+  for (const PositionReport& r : stream) serial.Ingest(r);
+  serial.Finish();
+  const auto expected = ExactMetrics(serial.MetricsSnapshot());
+  EXPECT_EQ(expected.at("engine.reports"), stream.size());
+  EXPECT_EQ(expected.at("engine.synopses.critical_point_detector.items_in"),
+            stream.size());
+  EXPECT_EQ(expected.at("engine.report_ns.count"), stream.size());
+  EXPECT_GT(expected.at("engine.critical_points"), 0u);
+  EXPECT_GT(expected.at("engine.triples"), 0u);
+  EXPECT_GT(expected.at("engine.episodes"), 0u);
+
+  DatacronEngine::Config cfg = ClusterConfig();
+  cfg.num_shards = 4;
+  DatacronEngine sharded(cfg);
+  ThreadPool pool(2);
+  sharded.IngestBatch(stream, &pool);
+  sharded.Finish();
+  EXPECT_EQ(ExactMetrics(sharded.MetricsSnapshot()), expected);
+
+  LocalCluster::Options opts;
+  opts.engine = ClusterConfig();
+  opts.num_nodes = 3;
+  Result<std::unique_ptr<LocalCluster>> cluster = LocalCluster::Start(opts);
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE(cluster.value()->engine().IngestBatch(stream).ok());
+  ASSERT_TRUE(cluster.value()->engine().Finish().ok());
+  Result<obs::MetricsSnapshot> fleet =
+      cluster.value()->engine().MetricsSnapshot();
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  EXPECT_EQ(ExactMetrics(fleet.value()), expected);
+  // Keyed operators ran on the three nodes, not on the coordinator's
+  // local shard; the global stage ran on the coordinator alone.
+  EXPECT_EQ(fleet.value().counters.at(
+                "engine.synopses.critical_point_detector.instances"),
+            3u);
+  EXPECT_EQ(fleet.value().counters.at(
+                "engine.cep-global.proximity_detector.instances"),
+            1u);
   ASSERT_TRUE(cluster.value()->Stop().ok());
 }
 
@@ -591,6 +653,33 @@ TEST(AdmissionTest, DropOldestShedsWhenConsumerLags) {
       << report;
   EXPECT_NE(report.find("entities_hit="), std::string::npos);
   EXPECT_NE(report.find("dropped"), std::string::npos);
+}
+
+TEST(AdmissionTest, ClusterMetricsReportShowsShedding) {
+  const auto stream = MixedStream();
+  LocalCluster::Options opts;
+  opts.engine = ClusterConfig();
+  opts.engine.admission = AdmissionPolicy::kDropOldest;
+  opts.engine.admission_capacity = 256;
+  opts.num_nodes = 2;
+  Result<std::unique_ptr<LocalCluster>> cluster = LocalCluster::Start(opts);
+  ASSERT_TRUE(cluster.ok());
+
+  // The whole stream is pushed before the fleet drains anything, so the
+  // queue overflows and sheds from the front.
+  auto queue = cluster.value()->engine().NewAdmissionQueue();
+  for (const PositionReport& r : stream) ASSERT_TRUE(queue->Push(r));
+  queue->Close();
+  ASSERT_EQ(queue->dropped(), stream.size() - 256);
+  ASSERT_TRUE(cluster.value()->engine().IngestFromQueue(queue.get()).ok());
+
+  Result<std::string> report = cluster.value()->engine().MetricsReport();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report.value().find("admission: policy=drop-oldest"),
+            std::string::npos)
+      << report.value();
+  EXPECT_NE(report.value().find("entities_hit="), std::string::npos);
+  ASSERT_TRUE(cluster.value()->Stop().ok());
 }
 
 TEST(AdmissionTest, ClusterQueueIngestMatchesSerial) {

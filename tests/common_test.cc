@@ -325,6 +325,16 @@ TEST(LogHistogramTest, HugeValuesLandInLastBucket) {
   EXPECT_GT(h.p99(), 0.0);
 }
 
+TEST(LogHistogramTest, AddWithCountEqualsRepeatedAdds) {
+  LogHistogram once, repeated;
+  once.Add(1500.0, 7);
+  once.Add(0.0, 2);
+  for (int i = 0; i < 7; ++i) repeated.Add(1500.0);
+  for (int i = 0; i < 2; ++i) repeated.Add(0.0);
+  EXPECT_EQ(once, repeated);
+  EXPECT_EQ(once.count(), 9u);
+}
+
 TEST(LogHistogramTest, AddBucketCountRoundTrip) {
   LogHistogram h;
   for (double x : {0.0, 1.0, 7.0, 100.0, 5000.0, 1e12}) h.Add(x);
@@ -340,26 +350,6 @@ TEST(LogHistogramTest, AddBucketCountRoundTrip) {
   via_orig.Merge(extra);
   via_rebuilt.Merge(extra);
   EXPECT_EQ(via_orig, via_rebuilt);
-}
-
-TEST(RunningStatsTest, FromRawRoundTrip) {
-  RunningStats s;
-  for (double x : {1.5, -2.0, 7.25, 0.0, 100.0}) s.Add(x);
-  RunningStats decoded = RunningStats::FromRaw(s.count(), s.mean(), s.m2(),
-                                               s.min(), s.max());
-  EXPECT_EQ(decoded, s);
-
-  // Merging through the decoded copy matches merging the original.
-  RunningStats other;
-  other.Add(3.0);
-  other.Add(-9.5);
-  RunningStats via_orig = s, via_decoded = decoded;
-  via_orig.Merge(other);
-  via_decoded.Merge(other);
-  EXPECT_EQ(via_orig, via_decoded);
-
-  RunningStats empty = RunningStats::FromRaw(0, 0, 0, 0, 0);
-  EXPECT_EQ(empty, RunningStats{});
 }
 
 // ---------------------------------------------------------------- Logging

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "net/codec.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "sub/subscription.h"
 
 namespace datacron {
@@ -228,20 +230,28 @@ CriticalPoint RandCriticalPoint(Rng& rng) {
   return cp;
 }
 
-MetricsRow RandMetricsRow(Rng& rng) {
-  MetricsRow row;
-  row.stage = RandString(rng, 10);
-  row.metrics.name = RandString(rng, 16);
-  const std::size_t samples = static_cast<std::size_t>(rng.UniformInt(0, 64));
-  for (std::size_t i = 0; i < samples; ++i) {
-    const double ns = rng.Uniform(10, 1e7);
-    row.metrics.process_nanos.Add(ns);
-    row.metrics.latency_ns.Add(ns);
+obs::MetricsSnapshot RandSnapshot(Rng& rng) {
+  obs::MetricsSnapshot snap;
+  for (std::int64_t i = rng.UniformInt(0, 6); i > 0; --i) {
+    snap.AddCounter("c." + RandString(rng, 8), rng.NextUint64());
   }
-  row.metrics.items_in = samples;
-  row.metrics.items_out = samples / 2;
-  row.instances = static_cast<std::size_t>(rng.UniformInt(1, 8));
-  return row;
+  for (std::int64_t i = rng.UniformInt(0, 3); i > 0; --i) {
+    snap.AddGauge("g." + RandString(rng, 8), rng.UniformInt(-1000, 1000));
+  }
+  for (std::int64_t i = rng.UniformInt(0, 4); i > 0; --i) {
+    LogHistogram h;
+    for (std::int64_t n = rng.UniformInt(0, 64); n > 0; --n) {
+      h.Add(rng.Uniform(10, 1e7));
+    }
+    snap.AddHistogram("h." + RandString(rng, 8), h);
+  }
+  return snap;
+}
+
+MetricsResultMsg RandMetricsResult(Rng& rng) {
+  MetricsResultMsg msg;
+  msg.snapshot = RandSnapshot(rng);
+  return msg;
 }
 
 template <typename Msg>
@@ -315,11 +325,7 @@ TEST(CodecTest, RoundTripPropertyOverRandomMessages) {
     }
     ExpectRoundTrip(flush);
 
-    MetricsResultMsg metrics;
-    for (std::int64_t i = rng.UniformInt(0, 6); i > 0; --i) {
-      metrics.rows.push_back(RandMetricsRow(rng));
-    }
-    ExpectRoundTrip(metrics);
+    ExpectRoundTrip(RandMetricsResult(rng));
   }
 }
 
@@ -452,26 +458,83 @@ TEST(CodecTest, SubscribePredicatePayloadBoundsAreEnforced) {
   EXPECT_FALSE(Decode(Encode(batch), &decoded_batch).ok());
 }
 
-TEST(CodecTest, MetricsRoundTripPreservesMergeBehavior) {
-  // The raw Welford + histogram-bucket encoding must reproduce an
-  // accumulator that merges exactly like the original — that is what
+TEST(CodecTest, SnapshotRoundTripPreservesMergeBehavior) {
+  // Decoded snapshots merge exactly like the originals — that is what
   // makes fleet-wide metrics merging across processes possible.
   Rng rng(0x5EED);
-  MetricsRow a = RandMetricsRow(rng);
-  MetricsRow b = RandMetricsRow(rng);
-  MetricsResultMsg msg;
-  msg.rows = {a, b};
-  MetricsResultMsg decoded;
-  ASSERT_TRUE(Decode(Encode(msg), &decoded).ok());
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    MetricsResultMsg a = RandMetricsResult(rng);
+    MetricsResultMsg b = RandMetricsResult(rng);
+    // Share some names so the merge folds values, not just unions keys.
+    b.snapshot.AddCounter("c.shared", 5);
+    a.snapshot.AddCounter("c.shared", 7);
+    MetricsResultMsg da, db;
+    ASSERT_TRUE(Decode(Encode(a), &da).ok());
+    ASSERT_TRUE(Decode(Encode(b), &db).ok());
 
-  OperatorMetrics direct = a.metrics;
-  direct.Merge(b.metrics);
-  OperatorMetrics via_wire = decoded.rows[0].metrics;
-  via_wire.Merge(decoded.rows[1].metrics);
-  EXPECT_TRUE(direct == via_wire);
-  EXPECT_DOUBLE_EQ(direct.process_nanos.mean(),
-                   via_wire.process_nanos.mean());
-  EXPECT_DOUBLE_EQ(direct.latency_ns.p99(), via_wire.latency_ns.p99());
+    obs::MetricsSnapshot direct = a.snapshot;
+    direct.Merge(b.snapshot);
+    obs::MetricsSnapshot via_wire = da.snapshot;
+    via_wire.Merge(db.snapshot);
+    EXPECT_TRUE(direct == via_wire);
+  }
+}
+
+TEST(CodecTest, SnapshotDecoderRejectsNonCanonicalFrames) {
+  // Hand-built MetricsResult frames: counters, an empty gauge section,
+  // then histograms (name + sparse [bucket, count] pairs).
+  struct Bucket {
+    std::uint8_t index;
+    std::uint64_t count;
+  };
+  const auto frame = [](const std::vector<std::string>& counters,
+                        const std::vector<std::string>& histograms,
+                        const std::vector<Bucket>& buckets) {
+    WireWriter w;
+    w.U16(static_cast<std::uint16_t>(MsgType::kMetricsResult));
+    w.U32(static_cast<std::uint32_t>(counters.size()));
+    for (const std::string& name : counters) {
+      w.Str(name);
+      w.U64(1);
+    }
+    w.U32(0);
+    w.U32(static_cast<std::uint32_t>(histograms.size()));
+    for (const std::string& name : histograms) {
+      w.Str(name);
+      w.U32(static_cast<std::uint32_t>(buckets.size()));
+      for (const Bucket& b : buckets) {
+        w.U8(b.index);
+        w.U64(b.count);
+      }
+    }
+    return w.Take();
+  };
+
+  MetricsResultMsg decoded;
+  const std::string valid = frame({"a", "b"}, {"h"}, {{3, 2}, {9, 1}});
+  ASSERT_TRUE(Decode(valid, &decoded).ok());
+  EXPECT_EQ(Encode(decoded), valid);
+
+  const auto max = std::numeric_limits<std::uint64_t>::max();
+  const struct {
+    const char* why;
+    std::string frame;
+  } cases[] = {
+      {"bucket index past the last bucket",
+       frame({}, {"h"},
+             {{static_cast<std::uint8_t>(LogHistogram::num_buckets()), 1}})},
+      {"zero bucket count", frame({}, {"h"}, {{3, 0}})},
+      {"repeated bucket", frame({}, {"h"}, {{3, 1}, {3, 1}})},
+      {"descending buckets", frame({}, {"h"}, {{5, 1}, {3, 1}})},
+      {"repeated counter name", frame({"a", "a"}, {}, {})},
+      {"unsorted counter names", frame({"b", "a"}, {}, {})},
+      {"repeated histogram name", frame({}, {"h", "h"}, {{1, 1}})},
+      {"histogram total overflows", frame({}, {"h"}, {{1, max}, {2, 1}})},
+  };
+  for (const auto& c : cases) {
+    EXPECT_FALSE(Decode(c.frame, &decoded).ok()) << c.why;
+  }
 }
 
 TEST(CodecTest, TruncatedPayloadsAreRejectedAtEveryPrefix) {
@@ -484,7 +547,9 @@ TEST(CodecTest, TruncatedPayloadsAreRejectedAtEveryPrefix) {
   ExpectTruncationRejected(flush);
 
   MetricsResultMsg metrics;
-  metrics.rows.push_back(RandMetricsRow(rng));
+  do {
+    metrics = RandMetricsResult(rng);
+  } while (metrics.snapshot.histograms.empty());
   ExpectTruncationRejected(metrics);
 }
 
@@ -500,6 +565,23 @@ TEST(CodecTest, CorruptedBytesNeverCrashTheDecoder) {
     corrupt[off] = static_cast<char>(corrupt[off] ^ 0x5A);
     EpochResultMsg decoded;
     (void)Decode(corrupt, &decoded);
+  }
+
+  // A metrics frame has one canonical encoding, so whatever corrupted
+  // frame still decodes must re-encode to exactly its own bytes.
+  MetricsResultMsg metrics;
+  do {
+    metrics = RandMetricsResult(rng);
+  } while (metrics.snapshot.histograms.empty() ||
+           metrics.snapshot.counters.size() < 2);
+  const std::string metrics_payload = Encode(metrics);
+  for (std::size_t off = 0; off < metrics_payload.size(); ++off) {
+    std::string corrupt = metrics_payload;
+    corrupt[off] = static_cast<char>(corrupt[off] ^ 0x5A);
+    MetricsResultMsg decoded;
+    if (Decode(corrupt, &decoded).ok()) {
+      EXPECT_EQ(Encode(decoded), corrupt) << "offset " << off;
+    }
   }
 }
 

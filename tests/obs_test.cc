@@ -12,7 +12,6 @@
 #include "common/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "stream/operator.h"
 
 namespace datacron {
 namespace {
@@ -277,22 +276,6 @@ TEST(MetricsTest, SnapshotTextAndJsonStable) {
     rebuilt.AddBucketCount(b, h.bucket_count(b));
   }
   EXPECT_EQ(rebuilt, h);
-}
-
-TEST(MetricsTest, OperatorMetricsBridge) {
-  OperatorMetrics m;
-  m.name = "cp_detect";
-  m.items_in = 10;
-  m.items_out = 4;
-  m.latency_ns.Add(100);
-  m.latency_ns.Add(200);
-
-  obs::MetricsSnapshot snap;
-  obs::AddOperatorMetrics("engine.keyed.cp_detect", m, &snap);
-  EXPECT_EQ(snap.counters["engine.keyed.cp_detect.items_in"], 10u);
-  EXPECT_EQ(snap.counters["engine.keyed.cp_detect.items_out"], 4u);
-  EXPECT_EQ(snap.histograms["engine.keyed.cp_detect.process_ns"].count(),
-            2u);
 }
 
 }  // namespace
