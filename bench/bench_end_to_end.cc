@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "cep/capacity_oracle.h"
 #include "cep/detectors.h"
 
 #include "cluster/local_cluster.h"
@@ -383,9 +384,7 @@ bool RunE11(bool quick) {
        {quick ? 100u : 250u, quick ? 400u : 1000u}) {
     const auto cap_stream = DenseCepStream(cap_fleet, quick ? 10 * kMinute
                                                             : 15 * kMinute);
-    CapacityMonitor::Config rescan_cfg;
-    rescan_cfg.incremental = false;
-    CapacityMonitor rescan(CepSectors(), rescan_cfg);
+    CapacityRescanOracle rescan(CepSectors(), CapacityMonitor::Config{});
     std::vector<Event> rescan_events;
     Stopwatch rescan_timer;
     for (const PositionReport& r : cap_stream) {
@@ -393,9 +392,7 @@ bool RunE11(bool quick) {
     }
     const double rescan_s = rescan_timer.ElapsedSeconds();
 
-    CapacityMonitor::Config inc_cfg;
-    inc_cfg.incremental = true;
-    CapacityMonitor incremental(CepSectors(), inc_cfg);
+    CapacityMonitor incremental(CepSectors(), CapacityMonitor::Config{});
     std::vector<Event> inc_events;
     Stopwatch inc_timer;
     for (const PositionReport& r : cap_stream) {

@@ -455,15 +455,6 @@ CapacityMonitor::CapacityMonitor(std::vector<Sector> sectors, Config config)
   bbox_near_.resize(eval_bbox_.size());
 }
 
-void CapacityMonitor::Process(const PositionReport& report,
-                              std::vector<Event>* out) {
-  if (config_.incremental) {
-    ProcessIncremental(report, out);
-  } else {
-    ProcessRescan(report, out);
-  }
-}
-
 void CapacityMonitor::Retire(EntityState* st) {
   for (const std::uint32_t si : st->inside) --occupancy_[si];
   for (const std::uint32_t si : st->predicted) --predicted_[si];
@@ -474,8 +465,8 @@ void CapacityMonitor::Retire(EntityState* st) {
 }
 
 void CapacityMonitor::ExpireStale() {
-  // at = ts + staleness, so `at < watermark` is exactly the rescan path's
-  // strict `now - ts > staleness` on a time-ordered stream.
+  // at = ts + staleness, so `at < watermark` is exactly the reference
+  // rescan's strict `now - ts > staleness` on a time-ordered stream.
   while (!expiry_.empty() && expiry_.front().at < watermark_) {
     std::pop_heap(expiry_.begin(), expiry_.end(), HeapLater);
     const Expiry e = expiry_.back();
@@ -488,8 +479,8 @@ void CapacityMonitor::ExpireStale() {
   }
 }
 
-void CapacityMonitor::ProcessIncremental(const PositionReport& report,
-                                         std::vector<Event>* out) {
+void CapacityMonitor::Process(const PositionReport& report,
+                              std::vector<Event>* out) {
   if (!has_watermark_ || report.timestamp > watermark_) {
     watermark_ = report.timestamp;
     has_watermark_ = true;
@@ -529,29 +520,6 @@ void CapacityMonitor::ProcessIncremental(const PositionReport& report,
     reports_since_compact_ = 0;
     CompactEntities();
   }
-}
-
-void CapacityMonitor::ProcessRescan(const PositionReport& report,
-                                    std::vector<Event>* out) {
-  latest_[report.entity_id] = report;
-
-  std::vector<int> occupancy(sectors_.size(), 0);
-  std::vector<int> predicted(sectors_.size(), 0);
-  BboxContainsBatch(eval_bbox_soa_, report.position.ll(), bbox_near_.data());
-  for (std::size_t si = 0; si < sectors_.size(); ++si) {
-    // Only sectors near the reporting entity get re-evaluated.
-    if (!bbox_near_[si]) continue;
-    const Sector& sector = sectors_[si];
-    latest_.ForEach([&](EntityId, const PositionReport& r) {
-      if (report.timestamp - r.timestamp > config_.staleness) return;
-      if (sector.polygon.Contains(r.position.ll())) ++occupancy[si];
-      const GeoPoint future = DeadReckon(r.position, r.course_deg,
-                                         r.speed_mps, r.vertical_rate_mps,
-                                         config_.forecast_horizon / 1000.0);
-      if (sector.polygon.Contains(future.ll())) ++predicted[si];
-    });
-  }
-  EmitAlarms(report, occupancy, predicted, out);
 }
 
 void CapacityMonitor::EmitAlarms(const PositionReport& report,

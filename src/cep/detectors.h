@@ -222,8 +222,8 @@ class LoiteringDetector : public Operator<PositionReport, Event> {
 /// Occupancy is maintained *incrementally*: each report retires the
 /// entity's previous sector contributions and adds its new ones (plus a
 /// staleness-expiry heap), so per-report cost is O(sectors) regardless of
-/// fleet size. Config::incremental = false keeps the legacy
-/// O(fleet x sectors) rescan as an equivalence baseline.
+/// fleet size. CapacityRescanOracle (cep/capacity_oracle.h) is the
+/// O(fleet x sectors) rescan it must match.
 class CapacityMonitor : public Operator<PositionReport, Event> {
  public:
   /// Sector occupancy counts all entities: must see the whole stream.
@@ -246,8 +246,6 @@ class CapacityMonitor : public Operator<PositionReport, Event> {
     /// dead-reckon into even while still outside it. 350 m/s covers
     /// airliner cruise; maritime-only deployments may lower it.
     double max_speed_mps = 350.0;
-    /// Delta-maintained counters (default) vs legacy full rescan.
-    bool incremental = true;
     /// Reports between amortized rebuilds dropping expired entities.
     std::size_t compact_interval = 4096;
   };
@@ -261,7 +259,10 @@ class CapacityMonitor : public Operator<PositionReport, Event> {
   std::size_t tracked_entities() const { return active_entities_; }
 
  private:
-  /// Per-entity contribution ledger of the incremental path.
+  /// The reference rescan shares the evaluation gate and alarm state.
+  friend class CapacityRescanOracle;
+
+  /// Per-entity contribution ledger.
   struct EntityState {
     TimestampMs ts = 0;
     /// Bumped on every update; expiry-heap entries carry the version they
@@ -282,16 +283,13 @@ class CapacityMonitor : public Operator<PositionReport, Event> {
     return a.at > b.at;
   }
 
-  void ProcessIncremental(const PositionReport& report,
-                          std::vector<Event>* out);
-  void ProcessRescan(const PositionReport& report, std::vector<Event>* out);
   /// Removes `st`'s sector contributions from the counters.
   void Retire(EntityState* st);
   /// Pops every entity whose latest report has gone stale as of
   /// `watermark_` and retires its contributions.
   void ExpireStale();
   /// Emits warning/forecast events for sectors near the report, from
-  /// whichever counters the active mode maintains.
+  /// the given per-sector counts.
   void EmitAlarms(const PositionReport& report,
                   std::span<const int> occupancy,
                   std::span<const int> predicted, std::vector<Event>* out);
@@ -310,7 +308,6 @@ class CapacityMonitor : public Operator<PositionReport, Event> {
   BboxSoa eval_bbox_soa_;
   std::vector<std::uint8_t> bbox_near_;
 
-  // Incremental-mode state.
   FlatHashMap<EntityId, EntityState> entities_;
   std::vector<int> occupancy_;
   std::vector<int> predicted_;
@@ -320,9 +317,6 @@ class CapacityMonitor : public Operator<PositionReport, Event> {
   bool has_watermark_ = false;
   std::size_t active_entities_ = 0;
   std::size_t reports_since_compact_ = 0;
-
-  // Rescan-mode state (legacy baseline).
-  FlatHashMap<EntityId, PositionReport> latest_;
 
   FlatHashMap<std::size_t, TimestampMs> last_warning_;
   FlatHashMap<std::size_t, TimestampMs> last_forecast_;

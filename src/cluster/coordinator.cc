@@ -1,5 +1,6 @@
 #include "cluster/coordinator.h"
 
+#include <algorithm>
 #include <iterator>
 #include <utility>
 
@@ -174,8 +175,6 @@ Status ClusterEngine::AbsorbReplies(
     std::vector<Event>* events) {
   const std::size_t n_nodes = nodes_.size();
   std::vector<EpochResultMsg>& replies = e.payload;
-  static obs::Counter* delta_terms_counter =
-      obs::MetricsRegistry::Global().counter("cluster.delta_terms");
   DATACRON_TRACE_SPAN("cluster.epoch_absorb", "cluster");
 
   // Slots in global input order; each node's arena is shard n.
@@ -185,14 +184,30 @@ Status ClusterEngine::AbsorbReplies(
     for (std::size_t k = 0; k < part.size(); ++k) {
       slots[part[k]] = replies[n].slots[k];
       slots[part[k]].shard = static_cast<std::uint32_t>(n);
+      if (slots[part[k]].entity != e.items[part[k]].entity_id) {
+        return Status::Internal("epoch slot entity differs from its report");
+      }
     }
   }
+  std::vector<DatacronEngine::EpochArena> arenas;
+  if (Status s = ImportReplies(slots, replies, &arenas); !s.ok()) return s;
+  local_.AbsorbEpoch(e.items, slots, arenas, {}, events, nullptr);
+  return Status::OK();
+}
 
-  // Phase 1 — import each report's slice of its node's coalesced
-  // dictionary delta in *input* order. remap_[n] always spans the node
-  // dictionary imported so far, so the slice is [remap size, terms_end);
-  // this interleaving reproduces the serial engine's first-occurrence id
-  // assignment even though each node ships one delta per epoch.
+Status ClusterEngine::ImportReplies(
+    std::span<const DatacronEngine::ShardSlot> slots,
+    std::vector<EpochResultMsg>& replies,
+    std::vector<DatacronEngine::EpochArena>* arenas) {
+  static obs::Counter* delta_terms_counter =
+      obs::MetricsRegistry::Global().counter("cluster.delta_terms");
+
+  // Phase 1 — import each slot's slice of its node's coalesced
+  // dictionary delta in slot (global input) order. remap_[n] always
+  // spans the node dictionary imported so far, so the slice is
+  // [remap size, terms_end); this interleaving reproduces the serial
+  // engine's first-occurrence id assignment even though each node ships
+  // one delta per epoch.
   for (const DatacronEngine::ShardSlot& slot : slots) {
     std::vector<TermId>& remap = remap_[slot.shard];
     if (slot.terms_end <= remap.size()) continue;
@@ -207,15 +222,15 @@ Status ClusterEngine::AbsorbReplies(
   }
 
   // Every node-local id now resolves through remap_[n]; translate each
-  // node's arena into coordinator ids, then run the shared absorb.
-  std::vector<DatacronEngine::EpochArena> arenas(n_nodes);
-  for (std::size_t n = 0; n < n_nodes; ++n) {
-    if (Status s = ImportArena(std::move(replies[n]), remap_[n], &arenas[n]);
+  // node's arena into coordinator ids for the shared absorb.
+  arenas->resize(replies.size());
+  for (std::size_t n = 0; n < replies.size(); ++n) {
+    if (Status s = ImportArena(std::move(replies[n]), remap_[n],
+                               &(*arenas)[n]);
         !s.ok()) {
       return s;
     }
   }
-  local_.AbsorbEpoch(e.items, slots, arenas, {}, events, nullptr);
   return Status::OK();
 }
 
@@ -305,18 +320,45 @@ Result<std::vector<Event>> ClusterEngine::Finish() {
       return s;
     }
   }
-  // Entity sets are disjoint across nodes (entity-sticky routing), so
-  // FinishFromFlushes' ascending-entity merge over the collected flushes
-  // reproduces the serial Finish order.
-  std::vector<KeyedFlush> flushes(n_nodes);
+  // Each node answers with its flush arena, one slot per flushed entity
+  // in ascending order. Routing is entity-sticky, so the nodes' entity
+  // sets are disjoint and merging their slots by entity reproduces the
+  // serial Finish order; anything else is a misbehaving node.
+  using Slot = DatacronEngine::ShardSlot;
+  const auto not_before = [](const Slot& a, const Slot& b) {
+    return a.entity >= b.entity;
+  };
+  std::vector<EpochResultMsg> replies(n_nodes);
+  std::vector<Slot> slots;
   for (std::size_t n = 0; n < n_nodes; ++n) {
     Result<std::string> payload = nodes_[n]->Recv();
     if (!payload.ok()) return payload.status();
-    FlushResultMsg msg;
-    if (Status s = Decode(payload.value(), &msg); !s.ok()) return s;
-    flushes[n] = std::move(msg.flush);
+    if (Status s = Decode(payload.value(), &replies[n]); !s.ok()) return s;
+    if (replies[n].dict_size_before != remap_[n].size()) {
+      return Status::Internal("node dictionary delta stream out of sync");
+    }
+    const std::vector<Slot>& part = replies[n].slots;
+    if (std::adjacent_find(part.begin(), part.end(), not_before) !=
+        part.end()) {
+      return Status::Internal("flush slots not in ascending entity order");
+    }
+    for (Slot slot : part) {
+      slot.shard = static_cast<std::uint32_t>(n);
+      slots.push_back(slot);
+    }
   }
-  return local_.FinishFromFlushes(flushes);
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+    return a.entity < b.entity;
+  });
+  if (std::adjacent_find(slots.begin(), slots.end(), not_before) !=
+      slots.end()) {
+    return Status::Internal("entity flushed by two nodes");
+  }
+  std::vector<DatacronEngine::EpochArena> arenas;
+  if (Status s = ImportReplies(slots, replies, &arenas); !s.ok()) return s;
+  std::vector<Event> events;
+  local_.AbsorbFinalEpoch(slots, arenas, {}, &events);
+  return events;
 }
 
 Result<obs::MetricsSnapshot> ClusterEngine::MetricsSnapshot() {

@@ -98,8 +98,13 @@ class ClusterEngine {
   /// here — every node's deltas funnel through it at the epoch barrier.
   SubscriptionRegistry* subscriptions() { return local_.subscriptions(); }
 
-  /// End-of-stream: collects every node's KeyedFlush and runs the global
-  /// merge — the distributed form of DatacronEngine::Finish().
+  /// End-of-stream: the distributed form of DatacronEngine::Finish().
+  /// Every node answers the FlushRequest with its flush arena (one slot
+  /// per flushed entity, ascending); the coordinator merges the slots by
+  /// entity, imports them like a report epoch's and runs
+  /// DatacronEngine::AbsorbFinalEpoch. Slots out of order within a node,
+  /// an entity flushed by two nodes, or a term id outside a node's
+  /// dictionary is a non-OK Status.
   Result<std::vector<Event>> Finish();
 
   /// Fleet-wide metrics: the coordinator engine's MetricsSnapshot merged
@@ -123,11 +128,20 @@ class ClusterEngine {
 
  private:
   /// The global stage of one epoch whose node replies all arrived:
-  /// imports the dictionary deltas in input order and absorbs the node
-  /// arenas through DatacronEngine::AbsorbEpoch.
+  /// checks each slot's entity against its routed report, imports the
+  /// dictionary deltas in input order and absorbs the node arenas
+  /// through DatacronEngine::AbsorbEpoch.
   Status AbsorbReplies(
       DrivenEpoch<PositionReport, std::vector<EpochResultMsg>>& e,
       std::vector<Event>* events);
+
+  /// Imports each slot's slice of its node's dictionary delta in slot
+  /// order, then translates every node reply into an arena of
+  /// coordinator ids (`arenas[n]` for node n). Shared by report epochs
+  /// and the end-of-stream epoch.
+  Status ImportReplies(std::span<const DatacronEngine::ShardSlot> slots,
+                       std::vector<EpochResultMsg>& replies,
+                       std::vector<DatacronEngine::EpochArena>* arenas);
 
   /// Sends `frame` to every node and collects one SubAck from each.
   Status BroadcastSubControl(const std::string& frame);

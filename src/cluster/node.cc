@@ -55,12 +55,21 @@ Status ClusterNode::HandleBatch(const std::string& payload) {
   // interning into the node dictionary; each slot's terms_end records the
   // dictionary size after its report, which is how the coordinator slices
   // the coalesced delta back into per-report ranges.
+  return SendEpoch(batch.epoch, &batch.reports);
+}
+
+Status ClusterNode::SendEpoch(std::int64_t epoch,
+                              const std::vector<PositionReport>* reports) {
   TermDictionary* dict = engine_.dictionary();
   EpochResultMsg result;
-  result.epoch = batch.epoch;
+  result.epoch = epoch;
   result.dict_size_before = dict->size();
   DatacronEngine::EpochArena arena;
-  engine_.ProcessKeyedEpoch(batch.reports, &arena, &result.slots);
+  if (reports != nullptr) {
+    engine_.ProcessKeyedEpoch(*reports, &arena, &result.slots);
+  } else {
+    engine_.ProcessFinalEpoch(&arena, &result.slots);
+  }
   result.triples = std::move(arena.triples);
   result.episodes = std::move(arena.episodes);
   result.events = std::move(arena.events);
@@ -108,9 +117,8 @@ Status ClusterNode::Serve() {
         break;
       }
       case MsgType::kFlushRequest: {
-        FlushResultMsg msg;
-        msg.flush = engine_.FlushKeyed();
-        if (Status s = transport_->Send(Encode(msg)); !s.ok()) return s;
+        // The end-of-stream epoch: one slot per flushed entity.
+        if (Status s = SendEpoch(0, nullptr); !s.ok()) return s;
         break;
       }
       case MsgType::kMetricsRequest: {

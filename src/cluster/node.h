@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "datacron/engine.h"
 #include "net/transport.h"
@@ -23,6 +24,8 @@ namespace datacron {
 /// watermarks and one coalesced dictionary delta; the slots' terms_end
 /// watermarks let the coordinator import that delta per report in global
 /// input order, which reproduces the serial engine's term-id assignment.
+/// A FlushRequest gets the same reply for the end-of-stream epoch, with
+/// one slot per flushed entity.
 ///
 /// The node must be constructed with the same Config as the coordinator's
 /// ClusterEngine: the dictionary baselines have to match for the
@@ -50,6 +53,11 @@ class ClusterNode {
  private:
   Status SendHello();
   Status HandleBatch(const std::string& payload);
+  /// Runs one keyed epoch into one arena — `reports`, or the end-of-stream
+  /// flush when null — and ships it as an EpochResult with the dictionary
+  /// delta it interned.
+  Status SendEpoch(std::int64_t epoch,
+                   const std::vector<PositionReport>* reports);
 
   DatacronEngine engine_;
   std::unique_ptr<Transport> transport_;

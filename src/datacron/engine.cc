@@ -71,59 +71,7 @@ void DatacronEngine::ProcessKeyedArena(std::size_t shard_idx,
   // 2. Data transformation: critical points (or everything) to RDF, and
   //    semantic-trajectory episodes derived from the synopsis.
   if (config_.rdfize_all_reports || !cps.empty()) {
-    TermSource* terms = arena->terms != nullptr
-                            ? static_cast<TermSource*>(arena->terms.get())
-                            : &dict_;
-
-    // Pre-seed the sink with this entity's RDF continuation state,
-    // reconstructed by re-interning IRI text. Each IRI either already
-    // exists in the global dictionary or was first interned by an earlier
-    // report of this same entity — which merges earlier in input order —
-    // so re-interning never allocates an id out of first-occurrence order
-    // and the ids match the serial run.
-    const EntityId entity = report.entity_id;
-    std::unordered_map<EntityId, TermId> prev_node;
-    std::unordered_map<EntityId, TermId> known;
-    if (shard->rdf_known.count(entity) > 0) {
-      known.emplace(entity, terms->Intern(EntityIri(entity)));
-    }
-    if (config_.rdf.emit_sequence_links) {
-      auto prev_it = shard->prev_node_ts.find(entity);
-      if (prev_it != shard->prev_node_ts.end()) {
-        prev_node.emplace(
-            entity, terms->Intern(PositionNodeIri(entity, prev_it->second)));
-      }
-    }
-    Rdfizer::Sink rdf_sink;
-    rdf_sink.terms = terms;
-    rdf_sink.tags = &arena->tags;
-    rdf_sink.node_geo = &arena->node_geo;
-    rdf_sink.prev_node = &prev_node;
-    rdf_sink.known_entities = &known;
-
-    if (config_.rdfize_all_reports) {
-      rdfizer_->TransformReportInto(report, rdf_sink, &arena->triples);
-      shard->prev_node_ts[entity] = report.timestamp;
-      shard->rdf_known.insert(entity);
-    } else {
-      for (const CriticalPoint& cp : cps) {
-        rdfizer_->TransformCriticalPointInto(cp, rdf_sink, &arena->triples);
-        // Gap-start points carry the pre-gap report, so the last cp's
-        // timestamp — not the report's — is the continuation point.
-        shard->prev_node_ts[cp.report.entity_id] = cp.report.timestamp;
-        shard->rdf_known.insert(cp.report.entity_id);
-      }
-    }
-    std::vector<Episode> completed;
-    for (const CriticalPoint& cp : cps) {
-      shard->episode_builder.Process(cp, &completed);
-    }
-    for (const Episode& e : completed) {
-      rdfizer_->TransformEpisodeInto(e, rdf_sink, &arena->triples);
-    }
-    arena->episodes.insert(arena->episodes.end(),
-                           std::make_move_iterator(completed.begin()),
-                           std::make_move_iterator(completed.end()));
+    TransformKeyed(shard, report.entity_id, &report, cps, arena);
   }
   const std::int64_t t2 = MonotonicNanos();
 
@@ -142,16 +90,82 @@ void DatacronEngine::ProcessKeyedArena(std::size_t shard_idx,
                      &arena->sub_counts);
   }
 
+  slot->entity = report.entity_id;
   slot->cp_count = static_cast<std::uint32_t>(cps.size());
-  slot->terms_end = arena->terms != nullptr ? arena->terms->local_size()
-                                            : dict_.size();
-  slot->triples_end = arena->triples.size();
-  slot->episodes_end = arena->episodes.size();
-  slot->events_end = arena->events.size();
-  slot->subs_end = arena->sub_deltas.size();
+  MarkSlot(*arena, slot);
   slot->synopses_ns = t1 - t0;
   slot->transform_ns = t2 - t1;
   slot->keyed_cep_ns = MonotonicNanos() - t2;
+}
+
+void DatacronEngine::TransformKeyed(Shard* shard, EntityId entity,
+                                    const PositionReport* report,
+                                    std::span<const CriticalPoint> cps,
+                                    EpochArena* arena) {
+  TermSource* terms = arena->terms != nullptr
+                          ? static_cast<TermSource*>(arena->terms.get())
+                          : &dict_;
+
+  // Pre-seed the sink with this entity's RDF continuation state,
+  // reconstructed by re-interning IRI text. Each IRI either already
+  // exists in the global dictionary or was first interned by an earlier
+  // report of this same entity — which merges earlier in input order —
+  // so re-interning never allocates an id out of first-occurrence order
+  // and the ids match the serial run.
+  std::unordered_map<EntityId, TermId> prev_node;
+  std::unordered_map<EntityId, TermId> known;
+  if (shard->rdf_known.count(entity) > 0) {
+    known.emplace(entity, terms->Intern(EntityIri(entity)));
+  }
+  if (config_.rdf.emit_sequence_links) {
+    auto prev_it = shard->prev_node_ts.find(entity);
+    if (prev_it != shard->prev_node_ts.end()) {
+      prev_node.emplace(
+          entity, terms->Intern(PositionNodeIri(entity, prev_it->second)));
+    }
+  }
+  Rdfizer::Sink rdf_sink;
+  rdf_sink.terms = terms;
+  rdf_sink.tags = &arena->tags;
+  rdf_sink.node_geo = &arena->node_geo;
+  rdf_sink.prev_node = &prev_node;
+  rdf_sink.known_entities = &known;
+
+  if (config_.rdfize_all_reports) {
+    if (report != nullptr) {
+      rdfizer_->TransformReportInto(*report, rdf_sink, &arena->triples);
+      shard->prev_node_ts[entity] = report->timestamp;
+      shard->rdf_known.insert(entity);
+    }
+  } else {
+    for (const CriticalPoint& cp : cps) {
+      rdfizer_->TransformCriticalPointInto(cp, rdf_sink, &arena->triples);
+      // Gap-start points carry the pre-gap report, so the last cp's
+      // timestamp — not the report's — is the continuation point.
+      shard->prev_node_ts[entity] = cp.report.timestamp;
+      shard->rdf_known.insert(entity);
+    }
+  }
+  std::vector<Episode> episodes;
+  for (const CriticalPoint& cp : cps) {
+    shard->episode_builder.Process(cp, &episodes);
+  }
+  if (report == nullptr) shard->episode_builder.Flush(entity, &episodes);
+  for (const Episode& e : episodes) {
+    rdfizer_->TransformEpisodeInto(e, rdf_sink, &arena->triples);
+  }
+  arena->episodes.insert(arena->episodes.end(),
+                         std::make_move_iterator(episodes.begin()),
+                         std::make_move_iterator(episodes.end()));
+}
+
+void DatacronEngine::MarkSlot(const EpochArena& arena, ShardSlot* slot) const {
+  slot->terms_end =
+      arena.terms != nullptr ? arena.terms->local_size() : dict_.size();
+  slot->triples_end = arena.triples.size();
+  slot->episodes_end = arena.episodes.size();
+  slot->events_end = arena.events.size();
+  slot->subs_end = arena.sub_deltas.size();
 }
 
 std::vector<std::vector<TermId>> DatacronEngine::MergeEpochTerms(
@@ -193,29 +207,7 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
                                  std::span<const std::vector<TermId>> remaps,
                                  std::vector<Event>* events,
                                  ThreadPool* pool) {
-  static const std::vector<TermId> kNoRemap;
-  const std::size_t n = arenas.size();
-
-  // Phase 2 — columnar bulk remap, one pass per shard arena (phase 1,
-  // which built `remaps`, is the only part that differs by source). Side
-  // tables are key→value overwrites whose shared keys always carry equal
-  // values (grid-cell tags) or are entity-owned (node geometry), so
-  // per-arena absorption is order-independent.
-  for (std::size_t s = 0; s < n; ++s) {
-    EpochArena& a = arenas[s];
-    const std::vector<TermId>& remap =
-        s < remaps.size() ? remaps[s] : kNoRemap;
-    if (!remap.empty()) {
-      for (Triple& t : a.triples) {
-        t.s = RemapTerm(t.s, remap);
-        t.p = RemapTerm(t.p, remap);
-        t.o = RemapTerm(t.o, remap);
-      }
-    }
-    if (!a.tags.empty() || !a.node_geo.empty()) {
-      rdfizer_->AbsorbSideTables(a.tags, a.node_geo, remap);
-    }
-  }
+  RemapArenas(arenas, remaps);
 
   // Phase 3a — epoch-batched global proximity CEP: the detector plans
   // candidate CPA pairs serially in input order, evaluates them
@@ -244,7 +236,7 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
   // byte-identically to a serial run.
   // prev[s] holds the watermarks of arena s's previous report: where the
   // next report's slices start.
-  std::vector<ShardSlot> prev(n);
+  std::vector<ShardSlot> prev(arenas.size());
   const bool subs_active = subs_->ever_active();
   for (std::size_t i = 0; i < items.size(); ++i) {
     const PositionReport& report = items[i];
@@ -252,14 +244,9 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
     EpochArena& a = arenas[slot.shard];
     ShardSlot& from = prev[slot.shard];
     ++reports_ingested_;
-    critical_points_ += slot.cp_count;
 
     const std::int64_t t0 = MonotonicNanos();
-    triples_.insert(triples_.end(), a.triples.begin() + from.triples_end,
-                    a.triples.begin() + slot.triples_end);
-    for (std::size_t j = from.episodes_end; j < slot.episodes_end; ++j) {
-      episodes_.push_back(std::move(a.episodes[j]));
-    }
+    SpliceSlot(from, slot, &a);
     trajectories_.Add(report);
     predictor_.Observe(report);
     const std::int64_t t1 = MonotonicNanos();
@@ -301,6 +288,42 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
   if (subs_active) {
     for (const EpochArena& a : arenas) subs_->AddHotspotCounts(a.sub_counts);
     subs_->CloseEpoch(items.empty() ? 0 : items.back().timestamp);
+  }
+}
+
+void DatacronEngine::RemapArenas(
+    std::span<EpochArena> arenas,
+    std::span<const std::vector<TermId>> remaps) {
+  static const std::vector<TermId> kNoRemap;
+  // Phase 2 — columnar bulk remap, one pass per shard arena (phase 1,
+  // which built `remaps`, is the only part that differs by source). Side
+  // tables are key→value overwrites whose shared keys always carry equal
+  // values (grid-cell tags) or are entity-owned (node geometry), so
+  // per-arena absorption is order-independent.
+  for (std::size_t s = 0; s < arenas.size(); ++s) {
+    EpochArena& a = arenas[s];
+    const std::vector<TermId>& remap =
+        s < remaps.size() ? remaps[s] : kNoRemap;
+    if (!remap.empty()) {
+      for (Triple& t : a.triples) {
+        t.s = RemapTerm(t.s, remap);
+        t.p = RemapTerm(t.p, remap);
+        t.o = RemapTerm(t.o, remap);
+      }
+    }
+    if (!a.tags.empty() || !a.node_geo.empty()) {
+      rdfizer_->AbsorbSideTables(a.tags, a.node_geo, remap);
+    }
+  }
+}
+
+void DatacronEngine::SpliceSlot(const ShardSlot& from, const ShardSlot& slot,
+                                EpochArena* arena) {
+  critical_points_ += slot.cp_count;
+  triples_.insert(triples_.end(), arena->triples.begin() + from.triples_end,
+                  arena->triples.begin() + slot.triples_end);
+  for (std::size_t j = from.episodes_end; j < slot.episodes_end; ++j) {
+    episodes_.push_back(std::move(arena->episodes[j]));
   }
 }
 
@@ -366,144 +389,59 @@ std::vector<Event> DatacronEngine::IngestBatch(
 }
 
 std::vector<Event> DatacronEngine::Finish() {
-  KeyedFlush flush = FlushKeyed();
-  return FinishFromFlushes(std::span<KeyedFlush>(&flush, 1));
-}
-
-KeyedFlush DatacronEngine::FlushKeyed() {
-  KeyedFlush f;
-
-  // Per-shard trajectory-end flushes, merged in ascending entity order —
-  // exactly the std::map iteration order a single detector would emit.
-  // Entity sets are disjoint across shards, so the order is total.
-  for (Shard& s : shards_) s.detector.Flush(&f.critical_points);
-  std::stable_sort(f.critical_points.begin(), f.critical_points.end(),
-                   [](const CriticalPoint& a, const CriticalPoint& b) {
-                     return a.report.entity_id < b.report.entity_id;
-                   });
-
-  // RDF continuation state for every entity in the flush, so the
-  // coordinator-side transform can chain sequence links correctly.
-  std::unordered_set<EntityId> seen;
-  for (const CriticalPoint& cp : f.critical_points) {
-    const EntityId entity = cp.report.entity_id;
-    if (!seen.insert(entity).second) continue;
-    Shard& shard = shards_[ShardOf(entity)];
-    EntityRdfContinuation c;
-    c.entity = entity;
-    c.rdf_known = shard.rdf_known.count(entity) > 0;
-    auto prev_it = shard.prev_node_ts.find(entity);
-    if (prev_it != shard.prev_node_ts.end()) {
-      c.has_prev_node = true;
-      c.prev_node_ts = prev_it->second;
-    }
-    f.continuations.push_back(c);
-  }
-
-  // Feed the flush points through the episode builders (keyed state, no
-  // dictionary access), then flush the still-open episodes per entity.
-  for (const CriticalPoint& cp : f.critical_points) {
-    shards_[ShardOf(cp.report.entity_id)].episode_builder.Process(
-        cp, &f.completed_episodes);
-  }
-  for (Shard& s : shards_) s.episode_builder.Flush(&f.trailing_episodes);
-  std::stable_sort(f.trailing_episodes.begin(), f.trailing_episodes.end(),
-                   [](const Episode& a, const Episode& b) {
-                     return a.entity < b.entity;
-                   });
-
-  // Keyed CEP flushes are no-ops today; looped per shard for symmetry.
-  for (Shard& s : shards_) s.area_events.Flush(&f.events);
-  for (Shard& s : shards_) s.loitering.Flush(&f.events);
-  return f;
-}
-
-std::vector<Event> DatacronEngine::FinishFromFlushes(
-    std::span<KeyedFlush> flushes) {
+  // The end-of-stream epoch goes through phase 1 like a parallel epoch:
+  // the flush interns into a TermBatch and MergeEpochTerms replays it
+  // slot by slot, in ascending entity order.
+  EpochArena arena;
+  arena.terms = std::make_unique<TermBatch>(&dict_);
+  std::vector<ShardSlot> slots;
+  ProcessFinalEpoch(&arena, &slots);
+  const std::span<EpochArena> arenas(&arena, 1);
   std::vector<Event> events;
+  AbsorbFinalEpoch(slots, arenas, MergeEpochTerms(slots, arenas), &events);
+  return events;
+}
 
-  // Entity sets are disjoint across flushes (one node owns each entity),
-  // and every per-flush list is already grouped by ascending entity, so a
-  // stable sort of the concatenation reproduces the order a single
-  // engine's flush would have produced.
+void DatacronEngine::ProcessFinalEpoch(EpochArena* arena,
+                                       std::vector<ShardSlot>* slots) {
+  // Every shard's trajectory-end points, merged in ascending entity order
+  // — exactly the std::map iteration order a single detector would emit.
+  // Entity sets are disjoint across shards, so the order is total.
   std::vector<CriticalPoint> cps;
-  std::unordered_map<EntityId, TimestampMs> prev_node_ts;
-  std::unordered_set<EntityId> rdf_known;
-  for (KeyedFlush& f : flushes) {
-    cps.insert(cps.end(), f.critical_points.begin(),
-               f.critical_points.end());
-    for (const EntityRdfContinuation& c : f.continuations) {
-      if (c.has_prev_node) prev_node_ts[c.entity] = c.prev_node_ts;
-      if (c.rdf_known) rdf_known.insert(c.entity);
-    }
-  }
+  for (Shard& s : shards_) s.detector.Flush(&cps);
   std::stable_sort(cps.begin(), cps.end(),
                    [](const CriticalPoint& a, const CriticalPoint& b) {
                      return a.report.entity_id < b.report.entity_id;
                    });
-  critical_points_ += cps.size();
-
-  std::unordered_map<TermId, StTag> tags;
-  std::unordered_map<TermId, NodeGeo> node_geo;
-  if (!config_.rdfize_all_reports) {
-    for (const CriticalPoint& cp : cps) {
-      const EntityId entity = cp.report.entity_id;
-      std::unordered_map<EntityId, TermId> prev_node;
-      std::unordered_map<EntityId, TermId> known;
-      if (rdf_known.count(entity) > 0) {
-        known.emplace(entity, dict_.Intern(EntityIri(entity)));
-      }
-      if (config_.rdf.emit_sequence_links) {
-        auto prev_it = prev_node_ts.find(entity);
-        if (prev_it != prev_node_ts.end()) {
-          prev_node.emplace(
-              entity, dict_.Intern(PositionNodeIri(entity, prev_it->second)));
-        }
-      }
-      Rdfizer::Sink sink;
-      sink.terms = &dict_;
-      sink.tags = &tags;
-      sink.node_geo = &node_geo;
-      sink.prev_node = &prev_node;
-      sink.known_entities = &known;
-      rdfizer_->TransformCriticalPointInto(cp, sink, &triples_);
-      prev_node_ts[entity] = cp.report.timestamp;
-      rdf_known.insert(entity);
-    }
+  slots->clear();
+  for (auto first = cps.begin(); first != cps.end();) {
+    const EntityId entity = first->report.entity_id;
+    const auto last =
+        std::find_if(first, cps.end(), [entity](const CriticalPoint& cp) {
+          return cp.report.entity_id != entity;
+        });
+    TransformKeyed(&shards_[ShardOf(entity)], entity, nullptr,
+                   std::span<const CriticalPoint>(first, last), arena);
+    ShardSlot& slot = slots->emplace_back();
+    slot.entity = entity;
+    slot.cp_count = static_cast<std::uint32_t>(last - first);
+    MarkSlot(*arena, &slot);
+    first = last;
   }
+}
 
-  std::vector<Episode> completed;
-  std::vector<Episode> trailing;
-  for (KeyedFlush& f : flushes) {
-    completed.insert(completed.end(), f.completed_episodes.begin(),
-                     f.completed_episodes.end());
-    trailing.insert(trailing.end(), f.trailing_episodes.begin(),
-                    f.trailing_episodes.end());
+void DatacronEngine::AbsorbFinalEpoch(
+    std::span<const ShardSlot> slots, std::span<EpochArena> arenas,
+    std::span<const std::vector<TermId>> remaps, std::vector<Event>* events) {
+  RemapArenas(arenas, remaps);
+  std::vector<ShardSlot> prev(arenas.size());
+  for (const ShardSlot& slot : slots) {
+    SpliceSlot(prev[slot.shard], slot, &arenas[slot.shard]);
+    prev[slot.shard] = slot;
   }
-  const auto by_entity = [](const Episode& a, const Episode& b) {
-    return a.entity < b.entity;
-  };
-  std::stable_sort(completed.begin(), completed.end(), by_entity);
-  std::stable_sort(trailing.begin(), trailing.end(), by_entity);
-  completed.insert(completed.end(), trailing.begin(), trailing.end());
-
-  Rdfizer::Sink episode_sink;
-  episode_sink.terms = &dict_;
-  episode_sink.tags = &tags;
-  episode_sink.node_geo = &node_geo;
-  for (const Episode& e : completed) {
-    rdfizer_->TransformEpisodeInto(e, episode_sink, &triples_);
-    episodes_.push_back(e);
-  }
-  rdfizer_->AbsorbSideTables(tags, node_geo, {});
-
-  proximity_.Flush(&events);
-  for (KeyedFlush& f : flushes) {
-    events.insert(events.end(), f.events.begin(), f.events.end());
-  }
-  if (capacity_ != nullptr) capacity_->Flush(&events);
-  if (hotspots_ != nullptr) hotspots_->Flush(&events);
-  return events;
+  proximity_.Flush(events);
+  if (capacity_ != nullptr) capacity_->Flush(events);
+  if (hotspots_ != nullptr) hotspots_->Flush(events);
 }
 
 TripleStore DatacronEngine::BuildStore(ThreadPool* pool) const {

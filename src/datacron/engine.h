@@ -29,41 +29,6 @@
 
 namespace datacron {
 
-/// Per-entity RDF continuation state a keyed shard holds between reports,
-/// exported at flush time so the coordinator (cluster Finish, see
-/// FlushKeyed/FinishFromFlushes) can reconstruct sequence links and
-/// entity-typing decisions for the trailing critical points.
-struct EntityRdfContinuation {
-  EntityId entity = 0;
-  /// Timestamp of the entity's last emitted RDF node (valid when
-  /// has_prev_node); the node IRI is reconstructed from it.
-  bool has_prev_node = false;
-  TimestampMs prev_node_ts = 0;
-  /// Entity-level typing triples were already emitted for this entity.
-  bool rdf_known = false;
-
-  bool operator==(const EntityRdfContinuation&) const = default;
-};
-
-/// Everything the keyed half of the engine emits when its stateful
-/// operators are flushed at end-of-stream — the unit a cluster node ships
-/// to the coordinator so the final merge runs in one place, in the same
-/// order a single-process Finish would use.
-struct KeyedFlush {
-  /// Trajectory-end (and friends) critical points, ascending entity order.
-  std::vector<CriticalPoint> critical_points;
-  /// Continuation state for every entity appearing in critical_points.
-  std::vector<EntityRdfContinuation> continuations;
-  /// Episodes completed by feeding critical_points through the builders.
-  std::vector<Episode> completed_episodes;
-  /// Still-open episodes flushed from the builders, ascending entity.
-  std::vector<Episode> trailing_episodes;
-  /// Keyed CEP flush events (empty for today's detectors).
-  std::vector<Event> events;
-
-  bool operator==(const KeyedFlush&) const = default;
-};
-
 /// The overall datAcron architecture (paper Section 2) as one object:
 ///
 ///   data sources -> in-situ processing (synopses) -> data transformation
@@ -155,10 +120,10 @@ class DatacronEngine {
   /// cluster coordinator calls it for its own queue loop.
   void RecordAdmissionDrops(const AdmissionQueue<PositionReport>& queue);
 
-  /// Flushes stateful operators (trajectory ends, last windows).
-  /// Per-shard flush outputs are merged in ascending entity order, so the
-  /// result is independent of the shard count. Equivalent to
-  /// FinishFromFlushes over this engine's own FlushKeyed().
+  /// Runs the end-of-stream epoch: ProcessFinalEpoch drains every shard
+  /// into one arena (one slot per flushed entity, ascending entity order,
+  /// so the result is independent of the shard count), AbsorbFinalEpoch
+  /// splices it and flushes the global detectors.
   std::vector<Event> Finish();
 
   // -- keyed→global handoff ---------------------------------------------
@@ -169,9 +134,10 @@ class DatacronEngine {
   // cluster node fills one arena for its whole sub-batch
   // (ProcessKeyedEpoch against the node-local dictionary) and ships it to
   // the coordinator, which resolves the node's term ids and calls
-  // AbsorbEpoch. FlushKeyed/FinishFromFlushes are the end-of-stream pair.
-  // Every path shares one absorb, so cluster output is byte-identical to
-  // a serial run by construction.
+  // AbsorbEpoch. End of stream is one more epoch of the same unit, with
+  // one slot per flushed entity instead of per report (ProcessFinalEpoch →
+  // AbsorbFinalEpoch). Every path shares one absorb, so cluster output is
+  // byte-identical to a serial run by construction.
 
   /// Per-(shard, epoch) accumulator: everything a shard's reports produce
   /// lands in these contiguous buffers; ShardSlot watermarks cut them back
@@ -193,12 +159,15 @@ class DatacronEngine {
     FlatHashMap<std::uint64_t, double> sub_counts;
   };
 
-  /// Per-report slot: scalar results plus watermarks into the report's
-  /// EpochArena (buffer sizes *after* the report ran; the preceding
-  /// report's watermark in the same arena starts the slice).
+  /// Per-report slot (per flushed entity in the end-of-stream epoch):
+  /// scalar results plus watermarks into the report's EpochArena (buffer
+  /// sizes *after* the report ran; the preceding report's watermark in
+  /// the same arena starts the slice).
   struct ShardSlot {
     /// Index of the report's arena in the epoch's arena span.
     std::uint32_t shard = 0;
+    /// The report's entity (the flushed entity at end of stream).
+    EntityId entity = 0;
     std::uint32_t cp_count = 0;
     /// TermBatch::local_size() when the arena has a batch, else the size
     /// of the dictionary the report interned into.
@@ -222,7 +191,8 @@ class DatacronEngine {
   void ProcessKeyedEpoch(std::span<const PositionReport> reports,
                          EpochArena* arena, std::vector<ShardSlot>* slots);
 
-  /// Global half of one epoch, on the calling thread, in input order:
+  /// Global half of one report epoch, on the calling thread, in input
+  /// order:
   /// columnar remap of each arena through `remaps[s]` (batch-local ids
   /// only; an empty span means every id is already this engine's), side
   /// tables, one epoch-batched proximity run (candidate CPA pairs
@@ -238,18 +208,23 @@ class DatacronEngine {
                    std::span<const std::vector<TermId>> remaps,
                    std::vector<Event>* events, ThreadPool* pool);
 
-  /// Drains this engine's keyed state (detector + builder flushes and the
-  /// RDF continuation tables) without running any global stage or
-  /// touching the dictionary — the node half of Finish.
-  KeyedFlush FlushKeyed();
+  /// Keyed half of the end-of-stream epoch: flushes every local shard's
+  /// critical-point detector and, per flushed entity in ascending entity
+  /// order, RDF-izes its trajectory-end points, then its completed and
+  /// still-open episodes into `arena`, with one slot per entity. Interns
+  /// into the arena's TermBatch when it has one (Finish), else into this
+  /// engine's dictionary (a cluster node). No global stage runs.
+  void ProcessFinalEpoch(EpochArena* arena, std::vector<ShardSlot>* slots);
 
-  /// The coordinator half of Finish: merges any number of keyed flushes
-  /// (entity sets must be disjoint — each entity lives on one node) in
-  /// ascending entity order, transforms the trailing critical points and
-  /// episodes against this engine's dictionary, and flushes the global
-  /// detectors. With a single flush from the same engine this is exactly
-  /// the serial Finish.
-  std::vector<Event> FinishFromFlushes(std::span<KeyedFlush> flushes);
+  /// Global half of the end-of-stream epoch: AbsorbEpoch's remap, side
+  /// table and splice phases over `slots` (one per flushed entity, in
+  /// ascending entity order across all arenas), then the global
+  /// detectors' flushes. No per-report stage runs and no subscription
+  /// epoch closes.
+  void AbsorbFinalEpoch(std::span<const ShardSlot> slots,
+                        std::span<EpochArena> arenas,
+                        std::span<const std::vector<TermId>> remaps,
+                        std::vector<Event>* events);
 
   // -- continuous-query subscriptions (src/sub) -----------------------
 
@@ -357,6 +332,31 @@ class DatacronEngine {
   /// slot->shard, which the caller owns).
   void ProcessKeyedArena(std::size_t shard, const PositionReport& report,
                          ShardSlot* slot, EpochArena* arena);
+
+  /// The keyed RDF/episode step of one entity, shared by reports and the
+  /// end-of-stream flush: RDF-izes `cps` (with rdfize_all_reports,
+  /// `*report` instead) into `arena` against the entity's continuation
+  /// state, feeds `cps` to the episode builder and RDF-izes the episodes
+  /// they complete. A null `report` is the flush: it also closes the
+  /// entity's still-open episode, and rdfize_all_reports has no report
+  /// to transform.
+  void TransformKeyed(Shard* shard, EntityId entity,
+                      const PositionReport* report,
+                      std::span<const CriticalPoint> cps, EpochArena* arena);
+
+  /// Records `arena`'s buffer sizes as `slot`'s watermarks.
+  void MarkSlot(const EpochArena& arena, ShardSlot* slot) const;
+
+  /// Phase 2 of both absorbs: remaps each arena's triples through
+  /// `remaps[s]` and absorbs its side tables.
+  void RemapArenas(std::span<EpochArena> arenas,
+                   std::span<const std::vector<TermId>> remaps);
+
+  /// The splice every slot gets, report or flushed entity: appends the
+  /// slot's triples and episodes (from `from`'s watermarks on) and counts
+  /// its critical points.
+  void SpliceSlot(const ShardSlot& from, const ShardSlot& slot,
+                  EpochArena* arena);
 
   /// Phase 1 of the in-process absorb: replays each report's TermBatch
   /// sub-range in input order (serial first-occurrence id assignment) and

@@ -250,34 +250,6 @@ Status Get(WireReader& r, std::pair<std::uint64_t, double>* c) {
   return Status::OK();
 }
 
-void Put(WireWriter& w, const CriticalPoint& cp) {
-  Put(w, cp.report);
-  w.U8(static_cast<std::uint8_t>(cp.type));
-}
-constexpr std::size_t kMinCriticalPointBytes = kMinReportBytes + 1;
-
-Status Get(WireReader& r, CriticalPoint* cp) {
-  DC_RET(Get(r, &cp->report));
-  DC_RET(GetEnum(r, &cp->type, CriticalPointType::kTrajectoryEnd));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const EntityRdfContinuation& c) {
-  w.U32(c.entity);
-  w.Bool(c.has_prev_node);
-  w.I64(c.prev_node_ts);
-  w.Bool(c.rdf_known);
-}
-constexpr std::size_t kMinContinuationBytes = 14;
-
-Status Get(WireReader& r, EntityRdfContinuation* c) {
-  DC_RET(r.U32(&c->entity));
-  DC_RET(r.Bool(&c->has_prev_node));
-  DC_RET(r.I64(&c->prev_node_ts));
-  DC_RET(r.Bool(&c->rdf_known));
-  return Status::OK();
-}
-
 // Forward declarations so the vector helpers can encode compound elements
 // whose Put/Get pairs are defined further down.
 void Put(WireWriter& w, const DatacronEngine::ShardSlot& slot);
@@ -302,6 +274,7 @@ Status GetVec(WireReader& r, std::vector<T>* v, std::size_t min_bytes) {
 // `shard` is not encoded: it indexes the receiver's arena span, and the
 // coordinator assigns the node index itself.
 void Put(WireWriter& w, const DatacronEngine::ShardSlot& slot) {
+  w.U32(slot.entity);
   w.U32(slot.cp_count);
   w.U64(slot.terms_end);
   w.U64(slot.triples_end);
@@ -312,9 +285,10 @@ void Put(WireWriter& w, const DatacronEngine::ShardSlot& slot) {
   w.I64(slot.transform_ns);
   w.I64(slot.keyed_cep_ns);
 }
-constexpr std::size_t kMinSlotBytes = 68;
+constexpr std::size_t kMinSlotBytes = 72;
 
 Status Get(WireReader& r, DatacronEngine::ShardSlot* slot) {
+  DC_RET(r.U32(&slot->entity));
   DC_RET(r.U32(&slot->cp_count));
   for (std::size_t* mark : {&slot->terms_end, &slot->triples_end,
                             &slot->episodes_end, &slot->events_end,
@@ -419,23 +393,6 @@ Status Get(WireReader& r, SubscriptionSpec* spec) {
   return Status::OK();
 }
 
-void Put(WireWriter& w, const KeyedFlush& f) {
-  PutVec(w, f.critical_points);
-  PutVec(w, f.continuations);
-  PutVec(w, f.completed_episodes);
-  PutVec(w, f.trailing_episodes);
-  PutVec(w, f.events);
-}
-
-Status Get(WireReader& r, KeyedFlush* f) {
-  DC_RET(GetVec(r, &f->critical_points, kMinCriticalPointBytes));
-  DC_RET(GetVec(r, &f->continuations, kMinContinuationBytes));
-  DC_RET(GetVec(r, &f->completed_episodes, kMinEpisodeBytes));
-  DC_RET(GetVec(r, &f->trailing_episodes, kMinEpisodeBytes));
-  DC_RET(GetVec(r, &f->events, kMinEventBytes));
-  return Status::OK();
-}
-
 /// A histogram travels as its nonzero buckets, ascending (sparse — most
 /// of the 64 log2 buckets are empty for any real latency distribution).
 void Put(WireWriter& w, const LogHistogram& h) {
@@ -532,6 +489,9 @@ Status Get(WireReader& r, obs::MetricsSnapshot* snap) {
 
 // --- envelope -----------------------------------------------------------
 
+/// MsgType value 6 is retired (see codec.h).
+constexpr std::uint16_t kRetiredMsgType = 6;
+
 WireWriter Envelope(MsgType type) {
   WireWriter w;
   w.U16(static_cast<std::uint16_t>(type));
@@ -586,12 +546,6 @@ std::string Encode(const WatermarkMsg& msg) {
   return w.Take();
 }
 
-std::string Encode(const FlushResultMsg& msg) {
-  WireWriter w = Envelope(MsgType::kFlushResult);
-  Put(w, msg.flush);
-  return w.Take();
-}
-
 std::string Encode(const MetricsResultMsg& msg) {
   WireWriter w = Envelope(MsgType::kMetricsResult);
   Put(w, msg.snapshot);
@@ -642,7 +596,8 @@ Status DecodeType(const std::string& payload, MsgType* type) {
   std::uint16_t t = 0;
   DC_RET(r.U16(&t));
   if (t < static_cast<std::uint16_t>(MsgType::kHello) ||
-      t > static_cast<std::uint16_t>(MsgType::kDeltaBatch)) {
+      t > static_cast<std::uint16_t>(MsgType::kDeltaBatch) ||
+      t == kRetiredMsgType) {
     return Status::ParseError("unknown message type");
   }
   *type = static_cast<MsgType>(t);
@@ -688,13 +643,6 @@ Status Decode(const std::string& payload, WatermarkMsg* msg) {
   WireReader r(payload);
   DC_RET(OpenEnvelope(r, MsgType::kWatermark));
   DC_RET(r.I64(&msg->epoch));
-  return r.ExpectEnd();
-}
-
-Status Decode(const std::string& payload, FlushResultMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kFlushResult));
-  DC_RET(Get(r, &msg->flush));
   return r.ExpectEnd();
 }
 

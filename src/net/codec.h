@@ -31,7 +31,8 @@ namespace datacron {
 ///   node        -> Watermark        in place of EpochResult for an empty
 ///                                   batch: advances the epoch barrier
 ///   coordinator -> FlushRequest     end-of-stream
-///   node        -> FlushResult      the node's KeyedFlush
+///   node        -> EpochResult      the node's flush arena: one slot per
+///                                   flushed entity, ascending entity
 ///   coordinator -> MetricsRequest
 ///   node        -> MetricsResult    the node engine's MetricsSnapshot
 ///   coordinator -> Shutdown         node serve loop exits
@@ -53,8 +54,9 @@ enum class MsgType : std::uint16_t {
   kEpochResult,
   kWatermark,
   kFlushRequest,
-  kFlushResult,
-  kMetricsRequest,
+  // 6 is retired (the old end-of-stream reply; a node now answers
+  // kFlushRequest with an EpochResult) and rejected by DecodeType.
+  kMetricsRequest = 7,
   kMetricsResult,
   kShutdown,
   kSubscribe,
@@ -81,13 +83,14 @@ struct ReportBatchMsg {
   bool operator==(const ReportBatchMsg&) const = default;
 };
 
-/// A node's reply to a nonempty ReportBatch: the node's EpochArena for
-/// the epoch (DatacronEngine::ProcessKeyedEpoch) flattened for the wire,
-/// plus one coalesced dictionary delta. All term ids are node-dictionary
-/// ids; the coordinator imports `new_terms` slot by slot in global input
-/// order and translates every id before absorbing. Side tables and hotspot
-/// counts travel id-sorted so the encoded bytes are canonical regardless
-/// of hash-map iteration order.
+/// A node's reply to a nonempty ReportBatch or to a FlushRequest: the
+/// node's EpochArena for the epoch (DatacronEngine::ProcessKeyedEpoch, or
+/// ProcessFinalEpoch at end of stream, where `epoch` is 0) flattened for
+/// the wire, plus one coalesced dictionary delta. All term ids are
+/// node-dictionary ids; the coordinator imports `new_terms` slot by slot
+/// in global input order and translates every id before absorbing. Side
+/// tables and hotspot counts travel id-sorted so the encoded bytes are
+/// canonical regardless of hash-map iteration order.
 ///
 /// The decoder checks that the slots cut the buffers into consecutive
 /// per-report slices: watermarks never go backwards, never run past their
@@ -99,7 +102,8 @@ struct EpochResultMsg {
   /// coordinator cross-checks it against its remap table to catch lost or
   /// reordered epochs.
   std::uint64_t dict_size_before = 0;
-  /// One slot per report of the sub-batch, in sub-batch order: watermarks
+  /// One slot per report of the sub-batch, in sub-batch order (per
+  /// flushed entity, ascending, at end of stream): the entity, watermarks
   /// into the buffers below (terms_end = node dictionary size after the
   /// report) and the report's keyed stage timings. `shard` is not on the
   /// wire and decodes as 0.
@@ -124,12 +128,6 @@ struct WatermarkMsg {
   std::int64_t epoch = 0;
 
   bool operator==(const WatermarkMsg&) const = default;
-};
-
-struct FlushResultMsg {
-  KeyedFlush flush;
-
-  bool operator==(const FlushResultMsg&) const = default;
 };
 
 /// A node's DatacronEngine::MetricsSnapshot. Names travel sorted and
@@ -187,7 +185,6 @@ std::string Encode(const HelloMsg& msg);
 std::string Encode(const ReportBatchMsg& msg);
 std::string Encode(const EpochResultMsg& msg);
 std::string Encode(const WatermarkMsg& msg);
-std::string Encode(const FlushResultMsg& msg);
 std::string Encode(const MetricsResultMsg& msg);
 std::string Encode(const SubscribeMsg& msg);
 std::string Encode(const UnsubscribeMsg& msg);
@@ -205,7 +202,6 @@ Status Decode(const std::string& payload, HelloMsg* msg);
 Status Decode(const std::string& payload, ReportBatchMsg* msg);
 Status Decode(const std::string& payload, EpochResultMsg* msg);
 Status Decode(const std::string& payload, WatermarkMsg* msg);
-Status Decode(const std::string& payload, FlushResultMsg* msg);
 Status Decode(const std::string& payload, MetricsResultMsg* msg);
 Status Decode(const std::string& payload, SubscribeMsg* msg);
 Status Decode(const std::string& payload, UnsubscribeMsg* msg);

@@ -27,11 +27,11 @@ enum class StageKind : std::uint8_t { kKeyed = 0, kGlobal };
 /// aggregates them. Latency is measured per Process() call in nanoseconds,
 /// so latency_ns holds one sample per item in.
 ///
-/// The counters are deliberately *mergeable* (Merge below): anything that
-/// runs an operator from more than one thread — the sharded runtime's
-/// per-shard keyed copies, staged pipelines — gives every thread its own
-/// operator instance and folds the metrics on read, instead of mutating a
-/// shared counter across threads.
+/// Anything that runs an operator from more than one thread — the sharded
+/// runtime's per-shard keyed copies, staged pipelines — gives every thread
+/// its own operator instance and folds the metrics on read (the engine
+/// adds each shard's copy to its obs::MetricsSnapshot), instead of
+/// mutating a shared counter across threads.
 struct OperatorMetrics {
   std::string name;
   std::size_t items_in = 0;
@@ -43,15 +43,6 @@ struct OperatorMetrics {
   }
 
   bool operator==(const OperatorMetrics&) const = default;
-
-  /// Folds another instance's counters into this one (per-shard copies of
-  /// a keyed operator, per-thread copies of a pipeline stage).
-  void Merge(const OperatorMetrics& other) {
-    if (name.empty()) name = other.name;
-    items_in += other.items_in;
-    items_out += other.items_out;
-    latency_ns.Merge(other.latency_ns);
-  }
 };
 
 /// A streaming operator: consumes one In, emits zero or more Out. These are

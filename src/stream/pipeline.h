@@ -54,9 +54,6 @@ std::vector<C> RunBatch2(Operator<A, B>* op1, Operator<B, C>* op2,
 /// Metrics ownership: the stage thread mutates `op->metrics_` via
 /// ProcessCounted, so the operator instance belongs to the stage until its
 /// thread is joined — reading op->metrics() concurrently is a data race.
-/// Callers that need live counters give each stage its own operator copy
-/// and fold the results afterwards with OperatorMetrics::Merge (the model
-/// the sharded runtime uses for its per-shard keyed operators).
 template <typename In, typename Out>
 std::thread SpawnStage(Operator<In, Out>* op, BoundedQueue<In>* in,
                        BoundedQueue<Out>* outq) {

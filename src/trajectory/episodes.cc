@@ -107,17 +107,19 @@ void EpisodeBuilder::Process(const CriticalPoint& cp,
 }
 
 void EpisodeBuilder::Flush(std::vector<Episode>* out) {
-  for (auto& [id, st] : state_) {
-    if (st.open) {
-      Episode& e = st.current;
-      e.displacement_m =
-          HaversineMeters(e.start_pos.ll(), e.end_pos.ll());
-      if (e.kind == EpisodeKind::kStop) e.area = AreaOf(e.start_pos.ll());
-      out->push_back(e);
-      st.open = false;
-    }
+  while (!state_.empty()) Flush(state_.begin()->first, out);
+}
+
+void EpisodeBuilder::Flush(EntityId entity, std::vector<Episode>* out) {
+  const auto it = state_.find(entity);
+  if (it == state_.end()) return;
+  if (it->second.open) {
+    Episode& e = it->second.current;
+    e.displacement_m = HaversineMeters(e.start_pos.ll(), e.end_pos.ll());
+    if (e.kind == EpisodeKind::kStop) e.area = AreaOf(e.start_pos.ll());
+    out->push_back(e);
   }
-  state_.clear();
+  state_.erase(it);
 }
 
 std::vector<Episode> EpisodeBuilder::Build(

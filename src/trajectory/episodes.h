@@ -60,6 +60,9 @@ class EpisodeBuilder {
 
   void Flush(std::vector<Episode>* out);
 
+  /// Flush() for one entity: closes its trailing episode, if any.
+  void Flush(EntityId entity, std::vector<Episode>* out);
+
   /// Convenience: run a whole synopsis batch.
   std::vector<Episode> Build(const std::vector<CriticalPoint>& synopsis);
 

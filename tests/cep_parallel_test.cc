@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "cep/capacity_oracle.h"
 #include "cep/cpa.h"
 #include "cep/detectors.h"
 #include "cep/fleet_snapshot.h"
@@ -257,13 +258,10 @@ TEST(CapacityIncrementalTest, MatchesRescanBaselineEventForEvent) {
   const auto stream = DenseFleet(25, 30 * kMinute);
 
   CapacityMonitor::Config inc_cfg;
-  inc_cfg.incremental = true;
   inc_cfg.compact_interval = 100;  // exercise compaction mid-stream
   CapacityMonitor incremental(TestSectors(), inc_cfg);
 
-  CapacityMonitor::Config rescan_cfg;
-  rescan_cfg.incremental = false;
-  CapacityMonitor rescan(TestSectors(), rescan_cfg);
+  CapacityRescanOracle rescan(TestSectors(), CapacityMonitor::Config{});
 
   std::vector<Event> inc_events, rescan_events;
   for (const PositionReport& r : stream) {

@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/local_cluster.h"
@@ -103,8 +104,9 @@ RunOutputs Snapshot(const DatacronEngine& engine, std::vector<Event> events) {
   return run;
 }
 
-RunOutputs RunSerial(const std::vector<PositionReport>& stream) {
-  DatacronEngine engine(ClusterConfig());
+RunOutputs RunSerial(const std::vector<PositionReport>& stream,
+                     const DatacronEngine::Config& cfg = ClusterConfig()) {
+  DatacronEngine engine(cfg);
   std::vector<Event> events;
   for (const PositionReport& r : stream) {
     const auto evs = engine.Ingest(r);
@@ -117,9 +119,9 @@ RunOutputs RunSerial(const std::vector<PositionReport>& stream) {
 
 RunOutputs RunCluster(const std::vector<PositionReport>& stream,
                       std::size_t num_nodes, LocalCluster::Wire wire,
-                      std::size_t epoch_size = 128) {
+                      const DatacronEngine::Config& cfg = ClusterConfig()) {
   LocalCluster::Options opts;
-  opts.engine = ClusterConfig(epoch_size);
+  opts.engine = cfg;
   opts.num_nodes = num_nodes;
   opts.wire = wire;
   Result<std::unique_ptr<LocalCluster>> cluster = LocalCluster::Start(opts);
@@ -194,17 +196,42 @@ TEST(ClusterTest, ByteIdenticalAtEpochBoundaryEdgeCases) {
   for (const std::size_t epoch_size : {1u, 32u}) {
     SCOPED_TRACE(epoch_size);
     const RunOutputs run = RunCluster(
-        stream, 4, LocalCluster::Wire::kLoopback, epoch_size);
+        stream, 4, LocalCluster::Wire::kLoopback, ClusterConfig(epoch_size));
     ExpectIdentical(serial, run);
+  }
+}
+
+TEST(ClusterTest, ByteIdenticalForConfigsThatChangeTheFlushTransform) {
+  // rdfize_all_reports leaves the trajectory-end points un-RDF-ized at
+  // Finish, and without sequence links the flush pre-seeds no previous
+  // node: both change what the end-of-stream epoch transforms.
+  const auto stream = MixedStream();
+  DatacronEngine::Config all_reports = ClusterConfig();
+  all_reports.rdfize_all_reports = true;
+  DatacronEngine::Config unlinked = ClusterConfig();
+  unlinked.rdf.emit_sequence_links = false;
+  for (const auto& [name, cfg] :
+       {std::pair{"rdfize_all_reports", all_reports},
+        std::pair{"emit_sequence_links = false", unlinked}}) {
+    SCOPED_TRACE(name);
+    const RunOutputs serial = RunSerial(stream, cfg);
+    ASSERT_FALSE(serial.triples.empty());
+    ASSERT_FALSE(serial.episodes.empty());
+    for (const std::size_t nodes : {1u, 3u}) {
+      SCOPED_TRACE(nodes);
+      ExpectIdentical(serial, RunCluster(stream, nodes,
+                                         LocalCluster::Wire::kLoopback, cfg));
+    }
   }
 }
 
 TEST(ClusterTest, OneDeltaFramePerNodePerEpochOnBothWires) {
   // The dictionary delta is coalesced into the epoch result frame, so a
-  // full run exchanges exactly: 1 hello, 1 flush request, 1 flush result
-  // and 1 shutdown per node, plus 1 report batch and 1 result (or
-  // watermark) per node per epoch — never anything per report. The frame
-  // counters cover both transports, and the output stays byte-identical.
+  // full run exchanges exactly: 1 hello, 1 flush request, 1 flush reply
+  // (an epoch result) and 1 shutdown per node, plus 1 report batch and 1
+  // result (or watermark) per node per epoch — never anything per report.
+  // The frame counters cover both transports, and the output stays
+  // byte-identical.
   const auto stream = MixedStream();
   const RunOutputs serial = RunSerial(stream);
   constexpr std::size_t kNodes = 2;
@@ -217,7 +244,8 @@ TEST(ClusterTest, OneDeltaFramePerNodePerEpochOnBothWires) {
     SCOPED_TRACE(wire == LocalCluster::Wire::kTcp ? "tcp" : "loopback");
     const std::uint64_t tx_before = tx->Value();
     const std::uint64_t rx_before = rx->Value();
-    const RunOutputs run = RunCluster(stream, kNodes, wire, kEpochSize);
+    const RunOutputs run =
+        RunCluster(stream, kNodes, wire, ClusterConfig(kEpochSize));
     ExpectIdentical(serial, run);
     const std::uint64_t expected = kNodes * (4 + 2 * epochs);
     EXPECT_EQ(tx->Value() - tx_before, expected);
@@ -339,81 +367,159 @@ TEST(ClusterTest, FleetMetricsEqualSerialAndShardedMetrics) {
   ASSERT_TRUE(cluster.value()->Stop().ok());
 }
 
+/// Runs a coordinator against scripted nodes on the far ends of loopback
+/// pairs: node n sends a Hello with an empty dictionary baseline, then
+/// `frames[n]` (loopback sends never block, so every reply can be queued
+/// before the coordinator asks for it). Ingests `report` as one epoch and,
+/// with `finish`, ends the stream; returns the first non-OK Status.
+Status RunScripted(const PositionReport& report,
+                   const std::vector<std::vector<std::string>>& frames,
+                   bool finish) {
+  std::vector<std::unique_ptr<Transport>> nodes;
+  std::vector<std::unique_ptr<Transport>> scripted;
+  for (std::size_t n = 0; n < frames.size(); ++n) {
+    auto [coord_end, node_end] = LoopbackTransport::CreatePair();
+    HelloMsg hello;
+    hello.node_id = static_cast<std::uint32_t>(n);
+    hello.num_nodes = static_cast<std::uint32_t>(frames.size());
+    EXPECT_TRUE(node_end->Send(Encode(hello)).ok());
+    for (const std::string& frame : frames[n]) {
+      EXPECT_TRUE(node_end->Send(frame).ok());
+    }
+    nodes.push_back(std::move(coord_end));
+    scripted.push_back(std::move(node_end));
+  }
+  ClusterEngine::Options opts;
+  opts.engine = ClusterConfig();
+  ClusterEngine engine(opts, std::move(nodes));
+  Result<std::vector<Event>> events =
+      engine.IngestBatch(std::span<const PositionReport>(&report, 1));
+
+  // The coordinator did send the batch the scripted nodes answered.
+  std::size_t routed = 0;
+  for (const std::unique_ptr<Transport>& node : scripted) {
+    Result<std::string> sent = node->Recv();
+    EXPECT_TRUE(sent.ok());
+    if (!sent.ok()) continue;
+    ReportBatchMsg batch;
+    EXPECT_TRUE(Decode(sent.value(), &batch).ok());
+    routed += batch.reports.size();
+  }
+  EXPECT_EQ(routed, 1u);
+  if (!events.ok()) return events.status();
+  if (!finish) return Status::OK();
+  Result<std::vector<Event>> final_events = engine.Finish();
+  return final_events.ok() ? Status::OK() : final_events.status();
+}
+
 TEST(ClusterTest, MisbehavingNodeRepliesYieldStatusNotCrash) {
-  // A scripted node on the far end of a loopback pair: Hello with an empty
-  // dictionary baseline, then one well-framed but inconsistent epoch
-  // reply for the coordinator's one-report batch. Every case must surface
-  // as a non-OK Status from IngestBatch.
+  // Scripted nodes answer the coordinator's one-report batch, and then its
+  // flush request, with well-framed but inconsistent replies. Every case
+  // must surface as a non-OK Status from IngestBatch or Finish.
   const PositionReport report = MixedStream().front();
-  const auto valid_reply = [] {
+  const EntityId entity = report.entity_id;
+  const auto valid_reply = [entity] {
     EpochResultMsg reply;
     reply.epoch = 0;
     reply.dict_size_before = 0;
     reply.new_terms.push_back({"urn:t", TermKind::kIri});
     reply.triples.push_back({1, 1, 1});
     DatacronEngine::ShardSlot slot;
+    slot.entity = entity;
     slot.terms_end = 1;
     slot.triples_end = 1;
     reply.slots.push_back(slot);
     return reply;
   };
+  // The end-of-stream reply after valid_reply: one slot per flushed
+  // entity, over a dictionary that already holds the one term.
+  const auto valid_flush = [entity](std::vector<EntityId> entities = {}) {
+    if (entities.empty()) entities.push_back(entity);
+    EpochResultMsg reply;
+    reply.dict_size_before = 1;
+    for (const EntityId e : entities) {
+      reply.triples.push_back({1, 1, 1});
+      DatacronEngine::ShardSlot slot;
+      slot.entity = e;
+      slot.terms_end = 1;
+      slot.triples_end = reply.triples.size();
+      reply.slots.push_back(slot);
+    }
+    return reply;
+  };
+  // Two nodes: the one the report routes to answers it, the other sends
+  // the empty-batch watermark; both then answer the flush.
+  const std::size_t routed = MixU64(entity) % 2;
+  const auto two_nodes = [&](const EpochResultMsg& routed_flush,
+                             const EpochResultMsg& idle_flush) {
+    std::vector<std::vector<std::string>> frames(2);
+    frames[routed] = {Encode(valid_reply()), Encode(routed_flush)};
+    frames[1 - routed] = {Encode(WatermarkMsg{}), Encode(idle_flush)};
+    return frames;
+  };
+  EpochResultMsg idle_flush;
+  idle_flush.slots.emplace_back();
+  idle_flush.slots.back().entity = entity + 1;
+
   struct Case {
     const char* name;
-    EpochResultMsg reply;
+    std::vector<std::vector<std::string>> frames;
+    bool finish = false;
   };
   std::vector<Case> cases;
-  cases.push_back({"watermark overruns triples", valid_reply()});
-  cases.back().reply.slots[0].triples_end = 2;
-  cases.push_back({"term id outside node dictionary", valid_reply()});
-  cases.back().reply.triples[0].o = 7;
-  cases.push_back({"tag term id outside node dictionary", valid_reply()});
-  cases.back().reply.tags.push_back({9, StTag{}});
-  cases.push_back({"slot count differs from routed reports", valid_reply()});
-  cases.back().reply.slots.push_back(cases.back().reply.slots[0]);
+  const auto add_epoch_case = [&](const char* name, EpochResultMsg reply) {
+    cases.push_back({name, {{Encode(reply)}}, false});
+  };
+  EpochResultMsg bad = valid_reply();
+  bad.slots[0].triples_end = 2;
+  add_epoch_case("watermark overruns triples", bad);
+  bad = valid_reply();
+  bad.triples[0].o = 7;
+  add_epoch_case("term id outside node dictionary", bad);
+  bad = valid_reply();
+  bad.tags.push_back({9, StTag{}});
+  add_epoch_case("tag term id outside node dictionary", bad);
+  bad = valid_reply();
+  bad.slots.push_back(bad.slots[0]);
+  add_epoch_case("slot count differs from routed reports", bad);
+  bad = valid_reply();
+  bad.slots[0].entity = entity + 1;
+  add_epoch_case("slot entity differs from its report", bad);
 
-  for (Case& c : cases) {
+  const auto add_flush_case = [&](const char* name, EpochResultMsg flush) {
+    cases.push_back(
+        {name, {{Encode(valid_reply()), Encode(flush)}}, true});
+  };
+  add_flush_case("flush slots not ascending",
+                 valid_flush({entity + 1, entity}));
+  add_flush_case("flush slots repeat an entity",
+                 valid_flush({entity, entity}));
+  bad = valid_flush();
+  bad.triples[0].s = 7;
+  add_flush_case("flush term id outside node dictionary", bad);
+  bad = valid_flush();
+  bad.dict_size_before = 0;
+  bad.new_terms.push_back({"urn:u", TermKind::kIri});
+  add_flush_case("flush dictionary base out of sync", bad);
+  EpochResultMsg twin_flush = idle_flush;
+  twin_flush.slots.back().entity = entity;
+  cases.push_back({"entity flushed by two nodes",
+                   two_nodes(valid_flush(), twin_flush), true});
+
+  for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    auto [coord_end, node_end] = LoopbackTransport::CreatePair();
-    HelloMsg hello;
-    hello.node_id = 0;
-    hello.num_nodes = 1;
-    ASSERT_TRUE(node_end->Send(Encode(hello)).ok());
-    // Loopback sends never block, so the bad reply can be queued before
-    // the coordinator asks for it.
-    ASSERT_TRUE(node_end->Send(Encode(c.reply)).ok());
-
-    std::vector<std::unique_ptr<Transport>> nodes;
-    nodes.push_back(std::move(coord_end));
-    ClusterEngine::Options opts;
-    opts.engine = ClusterConfig();
-    ClusterEngine engine(opts, std::move(nodes));
-    Result<std::vector<Event>> events =
-        engine.IngestBatch(std::span<const PositionReport>(&report, 1));
-    EXPECT_FALSE(events.ok());
-
-    // The coordinator did send the batch the scripted node answered.
-    Result<std::string> sent = node_end->Recv();
-    ASSERT_TRUE(sent.ok());
-    ReportBatchMsg batch;
-    ASSERT_TRUE(Decode(sent.value(), &batch).ok());
-    EXPECT_EQ(batch.reports.size(), 1u);
+    EXPECT_FALSE(RunScripted(report, c.frames, c.finish).ok());
   }
 
-  // Sanity: the unmodified reply is accepted, so each case above failed
-  // for its own defect.
-  auto [coord_end, node_end] = LoopbackTransport::CreatePair();
-  HelloMsg hello;
-  hello.num_nodes = 1;
-  ASSERT_TRUE(node_end->Send(Encode(hello)).ok());
-  ASSERT_TRUE(node_end->Send(Encode(valid_reply())).ok());
-  std::vector<std::unique_ptr<Transport>> nodes;
-  nodes.push_back(std::move(coord_end));
-  ClusterEngine::Options opts;
-  opts.engine = ClusterConfig();
-  ClusterEngine engine(opts, std::move(nodes));
-  Result<std::vector<Event>> events =
-      engine.IngestBatch(std::span<const PositionReport>(&report, 1));
-  EXPECT_TRUE(events.ok()) << events.status().ToString();
+  // Sanity: the unmodified replies are accepted, so each case above
+  // failed for its own defect.
+  Status ok = RunScripted(report, {{Encode(valid_reply())}}, false);
+  EXPECT_TRUE(ok.ok()) << ok.ToString();
+  ok = RunScripted(report, {{Encode(valid_reply()), Encode(valid_flush())}},
+                   true);
+  EXPECT_TRUE(ok.ok()) << ok.ToString();
+  ok = RunScripted(report, two_nodes(valid_flush(), idle_flush), true);
+  EXPECT_TRUE(ok.ok()) << ok.ToString();
 }
 
 TEST(ClusterTest, EpochAbsorbRunsTheEpochBatchedGlobalCep) {
@@ -427,7 +533,8 @@ TEST(ClusterTest, EpochAbsorbRunsTheEpochBatchedGlobalCep) {
   obs::TraceCollector::Discard();
   obs::EnableTracing(true);
   const RunOutputs run =
-      RunCluster(stream, 2, LocalCluster::Wire::kLoopback, kEpochSize);
+      RunCluster(stream, 2, LocalCluster::Wire::kLoopback,
+                 ClusterConfig(kEpochSize));
   obs::EnableTracing(false);
   const std::vector<obs::TraceSpanRecord> spans =
       obs::TraceCollector::Drain();

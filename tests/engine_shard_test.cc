@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -407,28 +408,6 @@ TEST(ShardedRuntimeTest, GlobalStageExceptionStopsAndJoinsDrains) {
 }
 
 // ---------------------------------------------------------------------
-// OperatorMetrics::Merge
-// ---------------------------------------------------------------------
-
-TEST(OperatorMetricsTest, MergeFoldsPerShardCopies) {
-  FilterOperator<int> even_a("evens", [](const int& v) { return v % 2 == 0; });
-  FilterOperator<int> even_b("evens", [](const int& v) { return v % 2 == 0; });
-  std::vector<int> out;
-  for (int i = 0; i < 10; ++i) even_a.ProcessCounted(i, &out);
-  for (int i = 10; i < 30; ++i) even_b.ProcessCounted(i, &out);
-
-  OperatorMetrics merged;
-  merged.Merge(even_a.metrics());
-  merged.Merge(even_b.metrics());
-  EXPECT_EQ(merged.name, "evens");
-  EXPECT_EQ(merged.items_in, 30u);
-  EXPECT_EQ(merged.items_out, 15u);
-  EXPECT_DOUBLE_EQ(merged.SelectivityPct(), 50.0);
-  EXPECT_EQ(merged.latency_ns.count(), 30u);
-  EXPECT_GE(merged.latency_ns.p99(), merged.latency_ns.p50());
-}
-
-// ---------------------------------------------------------------------
 // Engine byte-identity
 // ---------------------------------------------------------------------
 
@@ -572,6 +551,50 @@ TEST(EngineShardTest, ByteIdenticalAcrossShardCounts) {
     SCOPED_TRACE(shards);
     const EngineRun run = RunSharded(stream, shards, 128, &pool);
     ExpectIdentical(serial, run);
+  }
+}
+
+TEST(EngineShardTest, FinishClosesEveryOpenEpisodeAtAnyShardCount) {
+  // Cut mid-voyage, the stream ends with every entity holding an open
+  // episode and a pending trajectory-end point, so the end-of-stream
+  // epoch has one slot per entity, each with a transformed point and a
+  // completed episode.
+  auto stream = MixedStream();
+  stream.resize(stream.size() / 2);
+  DatacronEngine engine(ShardConfig(1, 1024));
+  std::vector<Event> events;
+  for (const PositionReport& r : stream) {
+    const auto evs = engine.Ingest(r);
+    events.insert(events.end(), evs.begin(), evs.end());
+  }
+  const std::size_t cps_before = engine.critical_points();
+  const std::size_t episodes_before = engine.episodes().size();
+  const std::size_t triples_before = engine.triples().size();
+  const auto final_events = engine.Finish();
+  events.insert(events.end(), final_events.begin(), final_events.end());
+
+  const std::size_t entities = engine.trajectories().EntityCount();
+  ASSERT_GT(entities, 10u);
+  EXPECT_EQ(engine.critical_points() - cps_before, entities);
+  ASSERT_EQ(engine.episodes().size() - episodes_before, entities);
+  EXPECT_GT(engine.triples().size(), triples_before);
+  // End-of-stream output is per entity, in ascending entity order, and
+  // each entity's trajectory-end point closed its open episode.
+  std::map<EntityId, TimestampMs> last_report;
+  for (const PositionReport& r : stream) last_report[r.entity_id] = r.timestamp;
+  for (std::size_t i = episodes_before; i < engine.episodes().size(); ++i) {
+    const Episode& e = engine.episodes()[i];
+    EXPECT_EQ(e.end_time, last_report[e.entity]);
+    if (i > episodes_before) {
+      EXPECT_LT(engine.episodes()[i - 1].entity, e.entity);
+    }
+  }
+  const EngineRun serial = Snapshot(&engine, std::move(events));
+
+  ThreadPool pool(4);
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(shards);
+    ExpectIdentical(serial, RunSharded(stream, shards, 128, &pool));
   }
 }
 
