@@ -85,6 +85,7 @@ struct BenchRecord {
   std::uint64_t mailbox_msgs = 0;
   double reports_per_epoch = 0.0;
   double terms_per_merge = 0.0;
+  std::size_t dict_terms = 0;  // dictionary entries after the run
 };
 
 std::vector<BenchRecord> g_records;
@@ -104,12 +105,12 @@ void WriteJson(const char* path, std::size_t reports) {
                  "\"reports_per_s\": %.0f, \"speedup\": %.3f, "
                  "\"identical\": %s, \"epochs\": %llu, "
                  "\"mailbox_msgs\": %llu, \"reports_per_epoch\": %.1f, "
-                 "\"terms_per_merge\": %.1f}%s\n",
+                 "\"terms_per_merge\": %.1f, \"dict_terms\": %zu}%s\n",
                  r.shards, r.threads, r.wall_s, r.reports_per_s, r.speedup,
                  r.identical ? "true" : "false",
                  static_cast<unsigned long long>(r.epochs),
                  static_cast<unsigned long long>(r.mailbox_msgs),
-                 r.reports_per_epoch, r.terms_per_merge,
+                 r.reports_per_epoch, r.terms_per_merge, r.dict_terms,
                  i + 1 < g_records.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -143,6 +144,7 @@ struct ClusterRecord {
   double reports_per_s = 0.0;
   double speedup = 1.0;
   bool identical = true;
+  std::size_t dict_terms = 0;  // coordinator dictionary entries
 };
 
 std::vector<ClusterRecord> g_cluster_records;
@@ -159,9 +161,9 @@ void WriteClusterJson(const char* path, std::size_t reports) {
     std::fprintf(f,
                  "    {\"nodes\": %d, \"wall_s\": %.4f, "
                  "\"reports_per_s\": %.0f, \"speedup\": %.3f, "
-                 "\"identical\": %s}%s\n",
+                 "\"identical\": %s, \"dict_terms\": %zu}%s\n",
                  r.nodes, r.wall_s, r.reports_per_s, r.speedup,
-                 r.identical ? "true" : "false",
+                 r.identical ? "true" : "false", r.dict_terms,
                  i + 1 < g_cluster_records.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -452,6 +454,7 @@ int Run(bool quick, const char* trace_out) {
   const double serial_s = total_timer.ElapsedSeconds();
   const RunOutputs serial = Snapshot(engine, std::move(serial_events));
   g_records.push_back({1, 0, serial_s, stream.size() / serial_s, 1.0, true});
+  g_records.back().dict_terms = engine.dictionary()->size();
 
   std::printf("E10: end-to-end pipeline latency (%zu vessels, %zu reports, "
               "%zu events, %zu critical points, %zu triples%s)\n\n",
@@ -543,7 +546,8 @@ int Run(bool quick, const char* trace_out) {
     g_records.push_back({static_cast<int>(shards),
                          static_cast<int>(pool.num_threads()), wall_s,
                          stream.size() / wall_s, serial_s / wall_s, identical,
-                         epochs, mbox_msgs, rpt_per_epoch, terms_per_merge});
+                         epochs, mbox_msgs, rpt_per_epoch, terms_per_merge,
+                         sharded.dictionary()->size()});
     std::printf("%8zu %8zu %10.3f %14.0f %8.1fx %10s %8llu %9.1f %11.1f "
                 "%11llu\n",
                 shards, pool.num_threads(), wall_s, stream.size() / wall_s,
@@ -607,9 +611,10 @@ int Run(bool quick, const char* trace_out) {
                    nodes);
       ok = false;
     }
-    g_cluster_records.push_back({static_cast<int>(nodes), wall_s,
-                                 stream.size() / wall_s, serial_s / wall_s,
-                                 identical});
+    g_cluster_records.push_back(
+        {static_cast<int>(nodes), wall_s, stream.size() / wall_s,
+         serial_s / wall_s, identical,
+         cluster.value()->engine().engine().dictionary().size()});
     std::printf("%8zu %10.3f %14.0f %8.1fx %10s\n", nodes, wall_s,
                 stream.size() / wall_s, serial_s / wall_s,
                 identical ? "yes" : "NO");

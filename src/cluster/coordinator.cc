@@ -14,31 +14,36 @@ namespace {
 
 /// Moves one node's epoch reply into an EpochArena, translating every
 /// node-local term id through the node's remap table (remap[i] is the
-/// coordinator id of node id i + 1). An id outside the node dictionary is
-/// a protocol error, never an out-of-bounds read.
+/// coordinator id of node id i + 1). Inline literal ids are the same on
+/// every node and pass through. An id outside the node dictionary or a
+/// malformed inline id is a protocol error, never an out-of-bounds read.
 Status ImportArena(EpochResultMsg reply, const std::vector<TermId>& remap,
                    DatacronEngine::EpochArena* arena) {
-  const auto in_dict = [&remap](TermId id) {
-    return id != kInvalidTermId && id <= remap.size();
+  TermKind kind = TermKind::kIri;
+  std::string text;
+  const auto translate = [&](TermId* id) {
+    if (IsInlineTerm(*id)) return InlineTermText(*id, &kind, &text);
+    if (*id == kInvalidTermId || *id > remap.size()) return false;
+    *id = remap[*id - 1];
+    return true;
   };
   arena->triples = std::move(reply.triples);
   for (Triple& t : arena->triples) {
-    if (!in_dict(t.s) || !in_dict(t.p) || !in_dict(t.o)) {
+    if (!translate(&t.s) || !translate(&t.p) || !translate(&t.o)) {
       return Status::Internal("triple term id outside node dictionary");
     }
-    t = {remap[t.s - 1], remap[t.p - 1], remap[t.o - 1]};
   }
-  for (const auto& [id, tag] : reply.tags) {
-    if (!in_dict(id)) {
+  for (auto [id, tag] : reply.tags) {
+    if (!translate(&id)) {
       return Status::Internal("tag term id outside node dictionary");
     }
-    arena->tags.emplace(remap[id - 1], tag);
+    arena->tags.emplace(id, tag);
   }
-  for (const auto& [id, geo] : reply.node_geo) {
-    if (!in_dict(id)) {
+  for (auto [id, geo] : reply.node_geo) {
+    if (!translate(&id)) {
       return Status::Internal("node-geo term id outside node dictionary");
     }
-    arena->node_geo.emplace(remap[id - 1], geo);
+    arena->node_geo.emplace(id, geo);
   }
   arena->episodes = std::move(reply.episodes);
   arena->events = std::move(reply.events);

@@ -1,38 +1,267 @@
 #include "rdf/term.h"
 
-#include <functional>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
+#include <system_error>
 
 #include "common/strings.h"
 
 namespace datacron {
 
+namespace {
+
+constexpr int kInlineKindShift = 60;
+constexpr TermId kInlinePayloadMask = (TermId{1} << kInlineKindShift) - 1;
+constexpr TermId kInlineInt = 0;
+constexpr TermId kInlineDouble = 1;
+constexpr TermId kInlineDateTime = 2;
+
+/// int / dateTime payloads are 60-bit two's complement.
+constexpr std::int64_t kInlineIntLimit = std::int64_t{1} << 59;
+
+/// double payload: bit 59 sign, bits 34-58 biased decimal exponent, bits
+/// 0-33 mantissa (10 digits < 2^34).
+constexpr TermId kDoubleSignBit = TermId{1} << 59;
+constexpr int kMantissaBits = 34;
+constexpr TermId kMantissaMask = (TermId{1} << kMantissaBits) - 1;
+constexpr int kExponentBias = 1 << 10;
+constexpr int kExponentLimit = 1 << 25;  // exponent field width
+
+constexpr std::string_view kDateTimePrefix = "dt:";
+
+TermId MakeInline(TermId kind, TermId payload) {
+  return kInlineTermBit | (kind << kInlineKindShift) | payload;
+}
+
+TermId InlineSigned(TermId kind, std::int64_t value) {
+  if (value < -kInlineIntLimit || value >= kInlineIntLimit) {
+    return kInvalidTermId;
+  }
+  return MakeInline(kind, static_cast<TermId>(value) & kInlinePayloadMask);
+}
+
+std::int64_t SignedPayload(TermId id) {
+  const TermId payload = id & kInlinePayloadMask;
+  // Sign-extend bit 59.
+  return static_cast<std::int64_t>(payload << (64 - kInlineKindShift)) >>
+         (64 - kInlineKindShift);
+}
+
+/// A double's literal text: `%.10g`, rendered without printf.
+std::string_view RenderDouble(double value, char (&buf)[32]) {
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 10);
+  return {buf, static_cast<std::size_t>(r.ptr - buf)};
+}
+
+std::string_view RenderInt(std::int64_t value, char (&buf)[32]) {
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
+  return {buf, static_cast<std::size_t>(r.ptr - buf)};
+}
+
+/// Parses the whole of `text` as an int64 whose rendering is `text`.
+bool ParseCanonicalInt(std::string_view text, std::int64_t* value) {
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r = std::from_chars(text.data(), end, *value);
+  char buf[32];
+  return r.ec == std::errc() && r.ptr == end && RenderInt(*value, buf) == text;
+}
+
+/// The double a double payload encodes; false if it over- or underflows.
+bool DecodeDouble(TermId payload, double* value) {
+  const int exponent =
+      static_cast<int>((payload & ~kDoubleSignBit) >> kMantissaBits) -
+      kExponentBias;
+  char buf[48];
+  // At most 11 mantissa digits, so the 'e' always fits.
+  char* p = std::to_chars(buf, buf + 16, payload & kMantissaMask).ptr;
+  *p++ = 'e';
+  p = std::to_chars(p, buf + sizeof(buf), exponent).ptr;
+  if (std::from_chars(buf, p, *value).ec != std::errc()) return false;
+  if (payload & kDoubleSignBit) *value = -*value;
+  return true;
+}
+
+/// True if `text` parses as a finite double that renders as `text`: then
+/// the id EncodeDoubleText gives it decodes (the same decimal, so the same
+/// double) to `text` again.
+bool RoundTrips(std::string_view text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r = std::from_chars(text.data(), end, value);
+  char buf[32];
+  return r.ec == std::errc() && r.ptr == end && std::isfinite(value) &&
+         RenderDouble(value, buf) == text;
+}
+
+/// Encodes `text`, the rendering of a finite double, as ±mantissa ×
+/// 10^exponent with the mantissa's trailing zeros stripped.
+TermId EncodeDoubleText(std::string_view text) {
+  std::size_t i = 0;
+  const bool negative = !text.empty() && text[0] == '-';
+  if (negative) ++i;
+  std::uint64_t mantissa = 0;
+  int exponent = 0;
+  int digits = 0;
+  bool fraction = false;
+  for (; i < text.size() && text[i] != 'e'; ++i) {
+    if (text[i] == '.') {
+      fraction = true;
+      continue;
+    }
+    if (text[i] < '0' || text[i] > '9' || ++digits > 18) return kInvalidTermId;
+    mantissa = mantissa * 10 + static_cast<std::uint64_t>(text[i] - '0');
+    if (fraction) --exponent;
+  }
+  if (i < text.size()) {
+    int e = 0;
+    const char* begin = text.data() + i + 1;
+    const char* end = text.data() + text.size();
+    if (begin != end && *begin == '+') ++begin;
+    const std::from_chars_result r = std::from_chars(begin, end, e);
+    if (r.ec != std::errc() || r.ptr != end) return kInvalidTermId;
+    exponent += e;
+  }
+  if (mantissa == 0) exponent = 0;
+  while (mantissa != 0 && mantissa % 10 == 0) {
+    mantissa /= 10;
+    ++exponent;
+  }
+  if (mantissa > kMantissaMask || exponent < -kExponentBias ||
+      exponent + kExponentBias >= kExponentLimit) {
+    return kInvalidTermId;
+  }
+  return MakeInline(
+      kInlineDouble,
+      (negative ? kDoubleSignBit : 0) |
+          (static_cast<TermId>(exponent + kExponentBias) << kMantissaBits) |
+          mantissa);
+}
+
+/// Inline id of canonical literal `text` of an int, double or dateTime
+/// kind (see TermSource::Intern); kInvalidTermId otherwise.
+TermId InlineLiteral(std::string_view text, TermKind kind) {
+  std::int64_t value = 0;
+  switch (kind) {
+    case TermKind::kLiteralInt:
+      return ParseCanonicalInt(text, &value) ? InlineInt(value)
+                                              : kInvalidTermId;
+    case TermKind::kLiteralDateTime:
+      return StartsWith(text, kDateTimePrefix) &&
+                     ParseCanonicalInt(text.substr(kDateTimePrefix.size()),
+                                       &value)
+                 ? InlineDateTime(value)
+                 : kInvalidTermId;
+    case TermKind::kLiteralDouble:
+      return RoundTrips(text) ? EncodeDoubleText(text) : kInvalidTermId;
+    case TermKind::kIri:
+    case TermKind::kLiteralString:
+      break;
+  }
+  return kInvalidTermId;
+}
+
+}  // namespace
+
+TermId InlineInt(std::int64_t value) { return InlineSigned(kInlineInt, value); }
+
+TermId InlineDateTime(std::int64_t epoch_ms) {
+  return InlineSigned(kInlineDateTime, epoch_ms);
+}
+
+TermId InlineDouble(double value) {
+  if (!std::isfinite(value)) return kInvalidTermId;
+  char buf[32];
+  const std::string_view text = RenderDouble(value, buf);
+  // Between DBL_MIN and 1e308 any 10-digit decimal survives the trip
+  // through a double (DBL_DIG = 15); only subnormals and values near
+  // DBL_MAX need the check.
+  const double magnitude = std::fabs(value);
+  if ((magnitude < DBL_MIN || magnitude >= 1e308) && !RoundTrips(text)) {
+    return kInvalidTermId;
+  }
+  return EncodeDoubleText(text);
+}
+
+bool InlineTermText(TermId id, TermKind* kind, std::string* text) {
+  if (!IsInlineTerm(id)) return false;
+  char buf[32];
+  switch ((id >> kInlineKindShift) & 3) {
+    case kInlineInt:
+      *kind = TermKind::kLiteralInt;
+      *text = RenderInt(SignedPayload(id), buf);
+      return true;
+    case kInlineDateTime:
+      *kind = TermKind::kLiteralDateTime;
+      *text = kDateTimePrefix;
+      *text += RenderInt(SignedPayload(id), buf);
+      return true;
+    case kInlineDouble: {
+      // Well-formed only if the payload is the one its value's text
+      // encodes to; that text then renders from the id by construction.
+      double value = 0;
+      if (!DecodeDouble(id & kInlinePayloadMask, &value)) return false;
+      const std::string_view rendered = RenderDouble(value, buf);
+      if (EncodeDoubleText(rendered) != id) return false;
+      *kind = TermKind::kLiteralDouble;
+      *text = rendered;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool InlineNumber(TermId id, double* value) {
+  if (!IsInlineTerm(id)) return false;
+  switch ((id >> kInlineKindShift) & 3) {
+    case kInlineInt:
+      *value = static_cast<double>(SignedPayload(id));
+      return true;
+    case kInlineDouble:
+      return DecodeDouble(id & kInlinePayloadMask, value);
+  }
+  return false;
+}
+
 TermId TermSource::InternInt(std::int64_t value) {
-  return Intern(StrFormat("%lld", static_cast<long long>(value)),
-                TermKind::kLiteralInt);
+  const TermId id = InlineInt(value);
+  if (id != kInvalidTermId) return id;
+  char buf[32];
+  return Intern(RenderInt(value, buf), TermKind::kLiteralInt);
 }
 
 TermId TermSource::InternDouble(double value) {
-  return Intern(StrFormat("%.10g", value), TermKind::kLiteralDouble);
+  const TermId id = InlineDouble(value);
+  if (id != kInvalidTermId) return id;
+  char buf[32];
+  return Intern(RenderDouble(value, buf), TermKind::kLiteralDouble);
 }
 
 TermId TermSource::InternDateTime(std::int64_t epoch_ms) {
+  const TermId id = InlineDateTime(epoch_ms);
+  if (id != kInvalidTermId) return id;
   return Intern(StrFormat("dt:%lld", static_cast<long long>(epoch_ms)),
                 TermKind::kLiteralDateTime);
 }
 
 TermDictionary::TermDictionary() = default;
 
-TermDictionary::Stripe& TermDictionary::StripeOf(std::string_view text) const {
-  const std::size_t h = std::hash<std::string_view>{}(text);
+TermDictionary::Stripe& TermDictionary::StripeOf(const TermKey& key) const {
+  const std::size_t h = TermKeyHash{}(key);
   // kStripes is a power of two; mix the high bits in so unordered_map
   // bucket selection (low bits) and stripe selection stay independent.
   return const_cast<Stripe&>(stripes_[(h ^ (h >> 17)) & (kStripes - 1)]);
 }
 
 TermId TermDictionary::Intern(std::string_view text, TermKind kind) {
-  Stripe& stripe = StripeOf(text);
+  if (const TermId id = InlineLiteral(text, kind); id != kInvalidTermId) {
+    return id;
+  }
+  const TermKey key{text, kind};
+  Stripe& stripe = StripeOf(key);
   std::lock_guard<std::mutex> stripe_lock(stripe.mu);
-  auto it = stripe.ids.find(text);
+  auto it = stripe.ids.find(key);
   if (it != stripe.ids.end()) return it->second;
 
   TermId id;
@@ -45,18 +274,27 @@ TermId TermDictionary::Intern(std::string_view text, TermKind kind) {
     stored = texts_.back();
   }
   count_.fetch_add(1, std::memory_order_release);
-  stripe.ids.emplace(stored, id);
+  stripe.ids.emplace(TermKey{stored, kind}, id);
   return id;
 }
 
-TermId TermDictionary::Find(std::string_view text) const {
-  const Stripe& stripe = StripeOf(text);
+TermId TermDictionary::Find(std::string_view text, TermKind kind) const {
+  if (const TermId id = InlineLiteral(text, kind); id != kInvalidTermId) {
+    return id;
+  }
+  const TermKey key{text, kind};
+  const Stripe& stripe = StripeOf(key);
   std::lock_guard<std::mutex> stripe_lock(stripe.mu);
-  auto it = stripe.ids.find(text);
+  auto it = stripe.ids.find(key);
   return it == stripe.ids.end() ? kInvalidTermId : it->second;
 }
 
 Result<std::string> TermDictionary::Text(TermId id) const {
+  if (IsInlineTerm(id)) {
+    TermKind kind = TermKind::kIri;
+    std::string text;
+    if (InlineTermText(id, &kind, &text)) return text;
+  }
   std::lock_guard<std::mutex> id_lock(id_mu_);
   if (id == kInvalidTermId || id > texts_.size()) {
     return Status::NotFound(StrFormat("unknown term id %llu",
@@ -66,6 +304,12 @@ Result<std::string> TermDictionary::Text(TermId id) const {
 }
 
 TermKind TermDictionary::Kind(TermId id) const {
+  if (IsInlineTerm(id)) {
+    TermKind kind = TermKind::kIri;
+    std::string text;
+    InlineTermText(id, &kind, &text);
+    return kind;
+  }
   std::lock_guard<std::mutex> id_lock(id_mu_);
   if (id == kInvalidTermId || id > kinds_.size()) return TermKind::kIri;
   return kinds_[id - 1];
@@ -107,16 +351,20 @@ std::vector<TermId> TermDictionary::MergeBatch(const TermBatch& batch) {
 }
 
 TermId TermBatch::Intern(std::string_view text, TermKind kind) {
+  if (const TermId id = InlineLiteral(text, kind); id != kInvalidTermId) {
+    return id;
+  }
   if (global_ != nullptr) {
-    const TermId global_id = global_->Find(text);
+    const TermId global_id = global_->Find(text, kind);
     if (global_id != kInvalidTermId) return global_id;
   }
-  auto it = ids_.find(text);
+  const TermKey key{text, kind};
+  auto it = ids_.find(key);
   if (it != ids_.end()) return it->second;
   texts_.emplace_back(text);
   kinds_.push_back(kind);
   const TermId id = kLocalTermBit | static_cast<TermId>(texts_.size() - 1);
-  ids_.emplace(std::string_view(texts_.back()), id);
+  ids_.emplace(TermKey{texts_.back(), kind}, id);
   return id;
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
@@ -26,6 +27,28 @@ constexpr TermId kInvalidTermId = 0;
 /// rewrites them to global ids before triples reach any store.
 constexpr TermId kLocalTermBit = TermId{1} << 63;
 
+/// Bit marking an *inline* literal id: an int, double or dateTime whose
+/// value is encoded in the id itself (the inline NodeIds of RDF-3X and
+/// Jena TDB2). Inline ids never enter a TermBatch, a TermDictionary or a
+/// cluster dictionary delta; every path computes the same id from the
+/// value alone. Bits 60–61 hold the kind (0 int, 1 double, 2 dateTime; 3
+/// is invalid) and bits 0–59 the payload:
+///  - int / dateTime: the value as 60-bit two's complement;
+///  - double: the canonical decimal of the value's `%.10g` text — sign
+///    (bit 59), decimal exponent (bits 34–58, biased) and a mantissa of at
+///    most 10 digits without trailing zeros (bits 0–33) — so two doubles
+///    share an id exactly when they share a text.
+/// A value is inlined only if decoding its id renders its text; the rest
+/// (NaN, ±inf, DBL_MAX, integers beyond ±2^59) stay dictionary terms.
+constexpr TermId kInlineTermBit = TermId{1} << 62;
+
+/// True for an id of the inline space (neither batch-local nor a
+/// dictionary id). Says nothing about well-formedness; see
+/// InlineTermText.
+inline bool IsInlineTerm(TermId id) {
+  return (id & (kLocalTermBit | kInlineTermBit)) == kInlineTermBit;
+}
+
 /// Kind of an RDF term. Spatiotemporal resource ids additionally embed a
 /// grid cell / time bucket (see SpatioTemporalEncoder) but remain ordinary
 /// IRIs at the dictionary level.
@@ -37,21 +60,57 @@ enum class TermKind : std::uint8_t {
   kLiteralDateTime,
 };
 
+/// Inline id of a typed literal value; kInvalidTermId when the value does
+/// not fit (see kInlineTermBit).
+TermId InlineInt(std::int64_t value);
+TermId InlineDouble(double value);
+TermId InlineDateTime(std::int64_t epoch_ms);
+
+/// Kind and text of a well-formed inline id. False for an id that is not
+/// inline, has kind value 3, or carries a double payload that no value
+/// encodes to.
+bool InlineTermText(TermId id, TermKind* kind, std::string* text);
+
+/// Numeric value of an inline int or double id without rendering its
+/// text. False for any other id, inline dateTimes included.
+bool InlineNumber(TermId id, double* value);
+
 /// Anything that can intern terms: the global TermDictionary on the serial
 /// path, a TermBatch on the parallel ingest path. The typed-literal
-/// helpers render the value and forward to Intern.
+/// helpers try the inline form first and otherwise intern the value's
+/// text.
 class TermSource {
  public:
   virtual ~TermSource() = default;
 
   /// Returns the id of `text` (of kind `kind`), interning it if new.
+  /// Int, double and dateTime text that is canonical — exactly what
+  /// InternInt, InternDouble or InternDateTime renders for its value —
+  /// yields its inline id, so "12.5" and InternDouble(12.5) share an id
+  /// while "12.50" is a dictionary term.
   virtual TermId Intern(std::string_view text,
                         TermKind kind = TermKind::kIri) = 0;
 
-  /// Convenience: intern a typed literal rendered from a value.
+  /// Convenience: the id of a typed literal value.
   TermId InternInt(std::int64_t value);
   TermId InternDouble(double value);
   TermId InternDateTime(std::int64_t epoch_ms);
+};
+
+/// Dictionary key: a term is its text *and* its kind, so `<5>`,
+/// `"5"^^string` and a non-inlined `"5"^^int` are distinct terms.
+struct TermKey {
+  std::string_view text;
+  TermKind kind = TermKind::kIri;
+
+  bool operator==(const TermKey&) const = default;
+};
+
+struct TermKeyHash {
+  std::size_t operator()(const TermKey& key) const {
+    return std::hash<std::string_view>{}(key.text) ^
+           (static_cast<std::size_t>(key.kind) * 0x9E3779B97F4A7C15ull);
+  }
 };
 
 class TermBatch;
@@ -71,13 +130,15 @@ struct TermExport {
 /// standard design of RDF stores (RDF-3X, Virtuoso) that datAcron's
 /// parallel stores build on.
 ///
-/// Thread-safe via lock striping: the text->id map is sharded into
-/// kStripes stripes keyed by the text hash, so concurrent Intern/Find
+/// Thread-safe via lock striping: the (kind, text)->id map is sharded into
+/// kStripes stripes keyed by the key hash, so concurrent Intern/Find
 /// calls only contend when they touch the same stripe (misses additionally
-/// serialize briefly on the id allocator). Ids stay dense and are assigned
-/// in arrival order, so the single-threaded path is bit-for-bit what it
-/// always was; deterministic ids under parallel ingest come from the
-/// two-phase TermBatch + MergeBatch scheme (see DESIGN.md).
+/// serialize briefly on the id allocator). Ids are dense over dictionary
+/// terms and assigned in arrival order; inline literal ids (kInlineTermBit)
+/// sit above every dictionary id and never consume one. Arrival order
+/// makes the single-threaded path bit-for-bit what it always was;
+/// deterministic ids under parallel ingest come from the two-phase
+/// TermBatch + MergeBatch scheme (see DESIGN.md).
 class TermDictionary : public TermSource {
  public:
   TermDictionary();
@@ -89,14 +150,17 @@ class TermDictionary : public TermSource {
   /// Deterministic: the same insertion sequence yields the same ids.
   TermId Intern(std::string_view text, TermKind kind = TermKind::kIri) override;
 
-  /// Lookup without interning; kInvalidTermId when absent.
-  TermId Find(std::string_view text) const;
+  /// Lookup without interning; kInvalidTermId when absent. A canonical
+  /// inline literal is always present.
+  TermId Find(std::string_view text, TermKind kind = TermKind::kIri) const;
 
-  /// Inverse mapping. Returns an error for unknown ids.
+  /// Inverse mapping; decodes inline ids. Returns an error for unknown or
+  /// malformed ids.
   Result<std::string> Text(TermId id) const;
 
   TermKind Kind(TermId id) const;
 
+  /// Number of dictionary entries; inline literals are not counted.
   std::size_t size() const { return count_.load(std::memory_order_acquire); }
 
   /// Interns every batch-local term of `batch` in local-id order and
@@ -137,10 +201,10 @@ class TermDictionary : public TermSource {
     /// Keys view into texts_ entries (std::deque never relocates), so the
     /// hot lookup path hashes the caller's bytes directly — no temporary
     /// std::string per probe.
-    std::unordered_map<std::string_view, TermId> ids;
+    std::unordered_map<TermKey, TermId, TermKeyHash> ids;
   };
 
-  Stripe& StripeOf(std::string_view text) const;
+  Stripe& StripeOf(const TermKey& key) const;
 
   std::array<Stripe, kStripes> stripes_;
   mutable std::mutex id_mu_;       // guards texts_/kinds_ growth
@@ -174,13 +238,13 @@ class TermBatch : public TermSource {
 
  private:
   const TermDictionary* global_;
-  std::unordered_map<std::string_view, TermId> ids_;
+  std::unordered_map<TermKey, TermId, TermKeyHash> ids_;
   std::deque<std::string> texts_;  // stable storage for map keys
   std::vector<TermKind> kinds_;
 };
 
 /// Rewrites a possibly batch-local id through `remap` (from MergeBatch);
-/// global ids pass through unchanged.
+/// dictionary and inline ids pass through unchanged.
 inline TermId RemapTerm(TermId id, const std::vector<TermId>& remap) {
   return (id & kLocalTermBit) ? remap[id & ~kLocalTermBit] : id;
 }

@@ -66,6 +66,26 @@ TEST(AggregateTest, NonNumericValuesSkipped) {
   EXPECT_EQ(avg.value()[0].count, 2u);
 }
 
+TEST(AggregateTest, InlineAndDictionaryNumbersBothCount) {
+  // Inline ints and doubles are read from the id, dictionary literals
+  // (here a non-canonical spelling) from their text; dateTimes are not
+  // numbers either way.
+  TermDictionary dict;
+  ResultSet rs;
+  const TermId g = dict.Intern("ent:1");
+  rs.rows = {{g, dict.InternInt(4)},
+             {g, dict.InternDouble(8.5)},
+             {g, dict.Intern("12.50", TermKind::kLiteralDouble)},
+             {g, dict.InternDateTime(1000)}};
+  auto sum = Aggregate(rs, 0, 1, AggregateFn::kSum, dict);
+  ASSERT_TRUE(sum.ok());
+  EXPECT_DOUBLE_EQ(sum.value()[0].value, 25.0);
+  EXPECT_EQ(sum.value()[0].count, 4u);
+  auto max = Aggregate(rs, 0, 1, AggregateFn::kMax, dict);
+  ASSERT_TRUE(max.ok());
+  EXPECT_DOUBLE_EQ(max.value()[0].value, 12.5);
+}
+
 TEST(AggregateTest, BadVariableIndexFails) {
   TermDictionary dict;
   const ResultSet rs = MakeResults(&dict);

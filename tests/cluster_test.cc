@@ -371,10 +371,11 @@ TEST(ClusterTest, FleetMetricsEqualSerialAndShardedMetrics) {
 /// pairs: node n sends a Hello with an empty dictionary baseline, then
 /// `frames[n]` (loopback sends never block, so every reply can be queued
 /// before the coordinator asks for it). Ingests `report` as one epoch and,
-/// with `finish`, ends the stream; returns the first non-OK Status.
+/// with `finish`, ends the stream; returns the first non-OK Status. With
+/// `triples`, also returns the coordinator's triples.
 Status RunScripted(const PositionReport& report,
                    const std::vector<std::vector<std::string>>& frames,
-                   bool finish) {
+                   bool finish, std::vector<Triple>* triples = nullptr) {
   std::vector<std::unique_ptr<Transport>> nodes;
   std::vector<std::unique_ptr<Transport>> scripted;
   for (std::size_t n = 0; n < frames.size(); ++n) {
@@ -407,6 +408,7 @@ Status RunScripted(const PositionReport& report,
   }
   EXPECT_EQ(routed, 1u);
   if (!events.ok()) return events.status();
+  if (triples != nullptr) *triples = engine.engine().triples();
   if (!finish) return Status::OK();
   Result<std::vector<Event>> final_events = engine.Finish();
   return final_events.ok() ? Status::OK() : final_events.status();
@@ -480,6 +482,12 @@ TEST(ClusterTest, MisbehavingNodeRepliesYieldStatusNotCrash) {
   bad.tags.push_back({9, StTag{}});
   add_epoch_case("tag term id outside node dictionary", bad);
   bad = valid_reply();
+  bad.triples[0].o = kInlineTermBit | (TermId{3} << 60) | 5;
+  add_epoch_case("inline term id of kind 3", bad);
+  bad = valid_reply();
+  bad.triples[0].o = kLocalTermBit | 1;
+  add_epoch_case("batch-local term id on the wire", bad);
+  bad = valid_reply();
   bad.slots.push_back(bad.slots[0]);
   add_epoch_case("slot count differs from routed reports", bad);
   bad = valid_reply();
@@ -520,6 +528,17 @@ TEST(ClusterTest, MisbehavingNodeRepliesYieldStatusNotCrash) {
   EXPECT_TRUE(ok.ok()) << ok.ToString();
   ok = RunScripted(report, two_nodes(valid_flush(), idle_flush), true);
   EXPECT_TRUE(ok.ok()) << ok.ToString();
+
+  // A well-formed inline literal id is the same on every node: the
+  // coordinator accepts it and stores it untranslated.
+  EpochResultMsg inline_reply = valid_reply();
+  inline_reply.triples[0].o = InlineDouble(12.5);
+  std::vector<Triple> stored;
+  ok = RunScripted(report, {{Encode(inline_reply)}}, false, &stored);
+  EXPECT_TRUE(ok.ok()) << ok.ToString();
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored[0].o, InlineDouble(12.5));
+  EXPECT_NE(stored[0].s, stored[0].o);
 }
 
 TEST(ClusterTest, EpochAbsorbRunsTheEpochBatchedGlobalCep) {

@@ -22,6 +22,7 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
+#include "rdf/term.h"
 #include "sub/subscription.h"
 
 namespace datacron {
@@ -109,7 +110,16 @@ EpochResultMsg RandEpochResult(Rng& rng, std::size_t reports) {
     }
     const std::uint64_t dict_size =
         msg.dict_size_before + msg.new_terms.size();
-    const auto term = [&rng, dict_size] {
+    // Mostly node-dictionary ids, plus inline literal ids of every kind.
+    const auto term = [&rng, dict_size]() -> TermId {
+      switch (rng.UniformInt(0, 8)) {
+        case 0:
+          return InlineDouble(rng.Uniform(-180, 180));
+        case 1:
+          return InlineInt(rng.UniformInt(-1'000'000, 1'000'000));
+        case 2:
+          return InlineDateTime(rng.UniformInt(0, 2'000'000'000'000));
+      }
       return rng.NextUint64() % std::max<std::uint64_t>(dict_size, 1) + 1;
     };
     for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/strings.h"
+#include "common/thread_pool.h"
 #include "rdf/ntriples.h"
 #include "rdf/rdfizer.h"
 #include "sources/ais_generator.h"
@@ -124,6 +128,53 @@ TEST(NTriplesTest, MutatedDocumentsYieldStatusNeverCrash) {
   };
   ForEachPrefix(doc, check);
   ForEachByteCorruption(doc, check);
+}
+
+TEST(NTriplesTest, RoundTripKeepsEachTermsKind) {
+  // One lexical form, five terms: the dictionary keys on (kind, text), so
+  // none of them collapse into another and each serializes as itself.
+  const std::string doc =
+      "<a> <p> \"5\"^^int .\n"
+      "<a> <q> \"5\"^^double .\n"
+      "<a> <r> <5> .\n"
+      "<a> <s> \"5\"^^string .\n"
+      "<a> <t> \"5.0\"^^double .\n";
+  TermDictionary dict;
+  std::vector<Triple> parsed;
+  ASSERT_TRUE(ParseNTriples(doc, &dict, &parsed).ok());
+  ASSERT_EQ(parsed.size(), 5u);
+  std::set<TermId> objects;
+  for (const Triple& t : parsed) objects.insert(t.o);
+  EXPECT_EQ(objects.size(), 5u);
+  EXPECT_EQ(dict.Kind(parsed[0].o), TermKind::kLiteralInt);
+  EXPECT_EQ(dict.Kind(parsed[1].o), TermKind::kLiteralDouble);
+  EXPECT_EQ(dict.Kind(parsed[2].o), TermKind::kIri);
+  EXPECT_EQ(dict.Kind(parsed[3].o), TermKind::kLiteralString);
+  EXPECT_EQ(parsed[0].o, dict.InternInt(5));
+  EXPECT_EQ(parsed[1].o, dict.InternDouble(5.0));
+  EXPECT_EQ(dict.Text(parsed[4].o).value(), "5.0");  // not canonical
+  EXPECT_EQ(SerializeNTriples(parsed, dict), doc);
+
+  // The parallel parse keys its shard-local batches the same way.
+  std::string big;
+  for (int i = 0; big.size() < (1u << 17); ++i) {
+    for (const char* line :
+         {"<e%d> <p> \"5\"^^int .\n", "<e%d> <q> \"5\"^^double .\n",
+          "<e%d> <r> <5> .\n", "<e%d> <s> \"5\"^^string .\n",
+          "<e%d> <t> \"%d\"^^string .\n"}) {
+      big += StrFormat(line, i, i);
+    }
+  }
+  TermDictionary serial_dict;
+  std::vector<Triple> serial;
+  ASSERT_TRUE(ParseNTriples(big, &serial_dict, &serial).ok());
+  ThreadPool pool(3);
+  TermDictionary parallel_dict;
+  std::vector<Triple> parallel;
+  ASSERT_TRUE(ParseNTriples(big, &parallel_dict, &parallel, &pool).ok());
+  EXPECT_EQ(parallel, serial);
+  EXPECT_EQ(parallel_dict.size(), serial_dict.size());
+  EXPECT_EQ(SerializeNTriples(parallel, parallel_dict), big);
 }
 
 TEST(NTriplesTest, UnknownIdSerializesAsPlaceholder) {

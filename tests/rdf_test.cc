@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <set>
 
 #include "common/rng.h"
@@ -63,6 +67,274 @@ TEST(TermDictionaryTest, IdsAreDense) {
     EXPECT_EQ(dict.Intern(StrFormat("x:%d", i)),
               static_cast<TermId>(i + 1));
   }
+}
+
+// ------------------------------------------------------------ inline ids
+
+double FromBits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+/// Interns `v` and checks the id renders exactly the text the dictionary
+/// has always stored for it.
+TermId ExpectDoubleText(TermDictionary& dict, double v) {
+  const TermId id = dict.InternDouble(v);
+  const Result<std::string> text = dict.Text(id);
+  EXPECT_TRUE(text.ok()) << StrFormat("%.17g", v);
+  EXPECT_EQ(text.value_or(""), StrFormat("%.10g", v))
+      << StrFormat("%.17g", v);
+  EXPECT_EQ(dict.Kind(id), TermKind::kLiteralDouble);
+  return id;
+}
+
+TEST(InlineTermTest, ZerosAndSubnormalsInline) {
+  TermDictionary dict;
+  for (const double v : {0.0, -0.0, 5e-324, -5e-324,
+                         2.2250738585072014e-308, 1e-310, 1e308}) {
+    SCOPED_TRACE(StrFormat("%.17g", v));
+    EXPECT_TRUE(IsInlineTerm(ExpectDoubleText(dict, v)));
+  }
+  EXPECT_NE(dict.InternDouble(0.0), dict.InternDouble(-0.0));
+  EXPECT_EQ(dict.size(), 0u);
+}
+
+TEST(InlineTermTest, UnrenderableDoublesFallBackToTheDictionary) {
+  TermDictionary dict;
+  const double fallbacks[] = {
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      FromBits(0x7FF8'0000'0000'0123ull),  // quiet NaN with a payload
+      FromBits(0xFFF0'0000'0000'0001ull),  // negative signalling NaN
+  };
+  for (const double v : fallbacks) {
+    SCOPED_TRACE(StrFormat("%.17g", v));
+    const TermId id = ExpectDoubleText(dict, v);
+    EXPECT_FALSE(IsInlineTerm(id));
+    EXPECT_EQ(InlineDouble(v), kInvalidTermId);
+    EXPECT_EQ(dict.Find(StrFormat("%.10g", v), TermKind::kLiteralDouble), id);
+  }
+  // DBL_MAX renders as 1.797693135e+308, which parses past the largest
+  // double, so its text is a dictionary term.
+  EXPECT_EQ(dict.Text(dict.InternDouble(std::numeric_limits<double>::max()))
+                .value(),
+            "1.797693135e+308");
+  EXPECT_GE(dict.size(), 4u);
+}
+
+TEST(InlineTermTest, RandomDoublesRenderTheirText) {
+  TermDictionary dict;
+  Rng rng(0x1D0B1E5);
+  for (int i = 0; i < 200000; ++i) {
+    const double v = FromBits(rng.NextUint64());
+    const TermId id = ExpectDoubleText(dict, v);
+    EXPECT_EQ(IsInlineTerm(id), std::isfinite(v)) << StrFormat("%.17g", v);
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const double lat = rng.Uniform(-90, 90);
+    const double lon = rng.Uniform(-180, 180);
+    EXPECT_TRUE(IsInlineTerm(ExpectDoubleText(dict, lat)));
+    EXPECT_TRUE(IsInlineTerm(ExpectDoubleText(dict, lon)));
+  }
+}
+
+TEST(InlineTermTest, DoublesShareAnIdIffTheyShareAText) {
+  TermDictionary dict;
+  Rng rng(0x5A4E);
+  std::vector<double> values;
+  for (int i = 0; i < 300; ++i) {
+    // Neighbours and near-neighbours mostly share their 10-digit text;
+    // values a few ulps of the 10th digit apart do not.
+    const double v = FromBits(rng.NextUint64());
+    values.push_back(v);
+    values.push_back(std::nextafter(v, 0.0));
+    values.push_back(v * (1 + 4e-11));
+    values.push_back(rng.Uniform(-1, 1) * 1e-5);
+  }
+  for (int k = 0; k < 200; ++k) values.push_back(12.5 + k * 1e-12);
+  std::vector<TermId> ids;
+  std::vector<std::string> texts;
+  for (const double v : values) {
+    ids.push_back(dict.InternDouble(v));
+    texts.push_back(StrFormat("%.10g", v));
+  }
+  std::size_t shared = 0;
+  for (std::size_t a = 0; a < values.size(); ++a) {
+    for (std::size_t b = a + 1; b < values.size(); ++b) {
+      ASSERT_EQ(ids[a] == ids[b], texts[a] == texts[b])
+          << texts[a] << " vs " << texts[b];
+      shared += texts[a] == texts[b];
+    }
+  }
+  EXPECT_GT(shared, 100u);  // the equal-text side was exercised
+}
+
+TEST(InlineTermTest, IntegersInlineWithinSixtyBits) {
+  TermDictionary dict;
+  constexpr std::int64_t kLimit = std::int64_t{1} << 59;
+  const std::int64_t inlined[] = {0, -1, 42, -kLimit, kLimit - 1};
+  const std::int64_t fallback[] = {kLimit, -kLimit - 1,
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   std::numeric_limits<std::int64_t>::min()};
+  for (const std::int64_t v : inlined) {
+    const std::string text = StrFormat("%lld", static_cast<long long>(v));
+    const TermId id = dict.InternInt(v);
+    EXPECT_TRUE(IsInlineTerm(id)) << text;
+    EXPECT_EQ(dict.Text(id).value(), text);
+    EXPECT_EQ(dict.Kind(id), TermKind::kLiteralInt);
+    EXPECT_EQ(dict.Intern(text, TermKind::kLiteralInt), id);
+    double number = 0;
+    EXPECT_TRUE(InlineNumber(id, &number));
+    EXPECT_EQ(number, static_cast<double>(v));
+  }
+  EXPECT_EQ(dict.size(), 0u);
+  for (const std::int64_t v : fallback) {
+    const std::string text = StrFormat("%lld", static_cast<long long>(v));
+    const TermId id = dict.InternInt(v);
+    EXPECT_FALSE(IsInlineTerm(id)) << text;
+    EXPECT_EQ(dict.Text(id).value(), text);
+    EXPECT_EQ(dict.Kind(id), TermKind::kLiteralInt);
+    EXPECT_EQ(dict.Intern(text, TermKind::kLiteralInt), id);
+  }
+  EXPECT_EQ(dict.size(), 4u);
+}
+
+TEST(InlineTermTest, DateTimesRoundTrip) {
+  TermDictionary dict;
+  constexpr std::int64_t kLimit = std::int64_t{1} << 59;
+  for (const std::int64_t ms :
+       {std::int64_t{1490054400000}, std::int64_t{0}, std::int64_t{-86400000},
+        -kLimit, kLimit - 1}) {
+    const std::string text = StrFormat("dt:%lld", static_cast<long long>(ms));
+    const TermId id = dict.InternDateTime(ms);
+    EXPECT_TRUE(IsInlineTerm(id)) << text;
+    EXPECT_EQ(dict.Text(id).value(), text);
+    EXPECT_EQ(dict.Kind(id), TermKind::kLiteralDateTime);
+    EXPECT_EQ(dict.Intern(text, TermKind::kLiteralDateTime), id);
+    double number = 0;
+    EXPECT_FALSE(InlineNumber(id, &number));  // a dateTime is no number
+  }
+  EXPECT_EQ(dict.size(), 0u);
+  const TermId far = dict.InternDateTime(kLimit);
+  EXPECT_FALSE(IsInlineTerm(far));
+  EXPECT_EQ(dict.Text(far).value(),
+            StrFormat("dt:%lld", static_cast<long long>(kLimit)));
+  // An int and a dateTime of one value are different literals.
+  EXPECT_NE(dict.InternInt(7), dict.InternDateTime(7));
+}
+
+TEST(InlineTermTest, OnlyCanonicalTextInlines) {
+  TermDictionary dict;
+  EXPECT_EQ(dict.Intern("12.5", TermKind::kLiteralDouble),
+            dict.InternDouble(12.5));
+  EXPECT_EQ(dict.Find("12.5", TermKind::kLiteralDouble),
+            dict.InternDouble(12.5));
+  EXPECT_EQ(dict.Intern("-0", TermKind::kLiteralDouble),
+            dict.InternDouble(-0.0));
+  EXPECT_EQ(dict.Intern("1e+20", TermKind::kLiteralDouble),
+            dict.InternDouble(1e20));
+  EXPECT_EQ(dict.size(), 0u);
+
+  // Non-canonical spellings stay dictionary terms and keep their text.
+  const struct {
+    const char* text;
+    TermKind kind;
+  } kept[] = {{"12.50", TermKind::kLiteralDouble},
+              {"1e5", TermKind::kLiteralDouble},
+              {"0.1000000000001", TermKind::kLiteralDouble},
+              {"inf", TermKind::kLiteralDouble},
+              {"", TermKind::kLiteralDouble},
+              {"007", TermKind::kLiteralInt},
+              {"+5", TermKind::kLiteralInt},
+              {"-0", TermKind::kLiteralInt},
+              {"5 ", TermKind::kLiteralInt},
+              {"dt:+5", TermKind::kLiteralDateTime},
+              {"5", TermKind::kLiteralDateTime},
+              {"dt:", TermKind::kLiteralDateTime}};
+  for (const auto& k : kept) {
+    SCOPED_TRACE(k.text);
+    const TermId id = dict.Intern(k.text, k.kind);
+    EXPECT_FALSE(IsInlineTerm(id));
+    EXPECT_EQ(dict.Text(id).value(), k.text);
+    EXPECT_EQ(dict.Kind(id), k.kind);
+  }
+  EXPECT_EQ(dict.size(), std::size(kept));
+  EXPECT_NE(dict.Intern("12.50", TermKind::kLiteralDouble),
+            dict.InternDouble(12.5));
+}
+
+TEST(InlineTermTest, MalformedInlineIdsAreNotFound) {
+  TermDictionary dict;
+  const TermId kind3 = kInlineTermBit | (TermId{3} << 60) | 5;
+  ASSERT_TRUE(IsInlineTerm(kind3));
+  EXPECT_EQ(dict.Text(kind3).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dict.Kind(kind3), TermKind::kIri);
+  // A double payload no value encodes to: a mantissa with a trailing
+  // zero digit (10 × 10^0 is spelled 1 × 10^1).
+  const TermId twelve_point_five = dict.InternDouble(12.5);
+  const TermId zero_padded =
+      (twelve_point_five & ~((TermId{1} << 59) - 1)) |
+      (((twelve_point_five >> 34) & ((TermId{1} << 25) - 1)) - 1) << 34 |
+      1250;
+  ASSERT_NE(zero_padded, twelve_point_five);
+  TermKind kind;
+  std::string text;
+  EXPECT_FALSE(InlineTermText(zero_padded, &kind, &text));
+  EXPECT_FALSE(dict.Text(zero_padded).ok());
+  EXPECT_TRUE(InlineTermText(twelve_point_five, &kind, &text));
+  EXPECT_EQ(text, "12.5");
+  // Batch-local ids are not inline even with bit 62 set.
+  EXPECT_FALSE(IsInlineTerm(kLocalTermBit | kInlineTermBit | 1));
+}
+
+TEST(InlineTermTest, InlineLiteralsNeverEnterADictionary) {
+  TermDictionary dict;
+  TermBatch batch(&dict);
+  TermBatch unbacked(nullptr);
+  for (int i = 0; i < 1000; ++i) {
+    for (TermSource* terms : {static_cast<TermSource*>(&dict),
+                              static_cast<TermSource*>(&batch),
+                              static_cast<TermSource*>(&unbacked)}) {
+      EXPECT_EQ(terms->InternDouble(i * 0.37), InlineDouble(i * 0.37));
+      EXPECT_EQ(terms->InternInt(i), InlineInt(i));
+      EXPECT_EQ(terms->InternDateTime(i * 1000), InlineDateTime(i * 1000));
+      EXPECT_EQ(terms->Intern(StrFormat("%d", i), TermKind::kLiteralInt),
+                InlineInt(i));
+    }
+  }
+  EXPECT_EQ(dict.size(), 0u);
+  EXPECT_EQ(batch.local_size(), 0u);
+  EXPECT_EQ(unbacked.local_size(), 0u);
+}
+
+TEST(TermDictionaryTest, KindsDoNotCollide) {
+  TermDictionary dict;
+  const TermId iri = dict.Intern("5");
+  const TermId str = dict.Intern("5", TermKind::kLiteralString);
+  const TermId nan_double = dict.Intern("nan", TermKind::kLiteralDouble);
+  const TermId nan_string = dict.Intern("nan", TermKind::kLiteralString);
+  EXPECT_NE(iri, str);
+  EXPECT_NE(nan_double, nan_string);
+  EXPECT_EQ(dict.size(), 4u);
+  EXPECT_EQ(dict.Find("5"), iri);
+  EXPECT_EQ(dict.Find("5", TermKind::kLiteralString), str);
+  EXPECT_EQ(dict.Find("nan", TermKind::kLiteralInt), kInvalidTermId);
+  EXPECT_EQ(dict.Kind(str), TermKind::kLiteralString);
+  EXPECT_EQ(dict.Kind(nan_double), TermKind::kLiteralDouble);
+
+  // A batch keys its local terms the same way, and merges to the same ids.
+  TermBatch batch(&dict);
+  const TermId local_iri = batch.Intern("7");
+  const TermId local_str = batch.Intern("7", TermKind::kLiteralString);
+  EXPECT_NE(local_iri, local_str);
+  EXPECT_EQ(batch.Intern("5", TermKind::kLiteralString), str);
+  const std::vector<TermId> remap = dict.MergeBatch(batch);
+  EXPECT_EQ(RemapTerm(local_iri, remap), dict.Find("7"));
+  EXPECT_EQ(RemapTerm(local_str, remap),
+            dict.Find("7", TermKind::kLiteralString));
 }
 
 // ------------------------------------------------------------ store
@@ -284,7 +556,8 @@ TEST_F(RdfizerTest, CriticalPointAddsKind) {
   cp.report = Report(1, 1000);
   cp.type = CriticalPointType::kTurningPoint;
   const auto triples = rdfizer_.TransformCriticalPoint(cp);
-  const TermId kind = dict_.Find("turning_point");
+  const TermId kind =
+      dict_.Find("turning_point", TermKind::kLiteralString);
   ASSERT_NE(kind, kInvalidTermId);
   bool found = false;
   for (const Triple& t : triples) {
