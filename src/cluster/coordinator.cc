@@ -20,9 +20,8 @@ namespace {
 Status ImportArena(EpochResultMsg reply, const std::vector<TermId>& remap,
                    DatacronEngine::EpochArena* arena) {
   TermKind kind = TermKind::kIri;
-  std::string text;
   const auto translate = [&](TermId* id) {
-    if (IsInlineTerm(*id)) return InlineTermText(*id, &kind, &text);
+    if (IsInlineTerm(*id)) return InlineTermKind(*id, &kind);
     if (*id == kInvalidTermId || *id > remap.size()) return false;
     *id = remap[*id - 1];
     return true;

@@ -47,15 +47,9 @@ Result<std::vector<AggregateRow>> Aggregate(const ResultSet& rs,
     }
     const TermId v = row[value_var];
     if (v == kInvalidTermId) continue;
-    // Inline ints and doubles carry their value; an inline dateTime is
-    // not a number. Only dictionary literals need their text parsed.
+    const Result<std::string> text = dict.Text(v);
     double x = 0;
-    if (IsInlineTerm(v)) {
-      if (!InlineNumber(v, &x)) continue;
-    } else {
-      const Result<std::string> text = dict.Text(v);
-      if (!text.ok() || !ParseDouble(text.value(), &x)) continue;
-    }
+    if (!text.ok() || !ParseDouble(text.value(), &x)) continue;
     acc.sum += x;
     acc.min = std::min(acc.min, x);
     acc.max = std::max(acc.max, x);

@@ -1,6 +1,5 @@
 #include "rdf/term.h"
 
-#include <cfloat>
 #include <charconv>
 #include <cmath>
 #include <system_error>
@@ -139,6 +138,16 @@ TermId EncodeDoubleText(std::string_view text) {
           mantissa);
 }
 
+/// Text of inline double id `id`, rendered into `buf`. Empty if the
+/// payload is not the one its value's text encodes to (no value gives that
+/// id); otherwise the text renders from the id by construction.
+std::string_view InlineDoubleText(TermId id, char (&buf)[32]) {
+  double value = 0;
+  if (!DecodeDouble(id & kInlinePayloadMask, &value)) return {};
+  const std::string_view rendered = RenderDouble(value, buf);
+  return EncodeDoubleText(rendered) == id ? rendered : std::string_view{};
+}
+
 /// Inline id of canonical literal `text` of an int, double or dateTime
 /// kind (see TermSource::Intern); kInvalidTermId otherwise.
 TermId InlineLiteral(std::string_view text, TermKind kind) {
@@ -174,14 +183,25 @@ TermId InlineDouble(double value) {
   if (!std::isfinite(value)) return kInvalidTermId;
   char buf[32];
   const std::string_view text = RenderDouble(value, buf);
-  // Between DBL_MIN and 1e308 any 10-digit decimal survives the trip
-  // through a double (DBL_DIG = 15); only subnormals and values near
-  // DBL_MAX need the check.
-  const double magnitude = std::fabs(value);
-  if ((magnitude < DBL_MIN || magnitude >= 1e308) && !RoundTrips(text)) {
-    return kInvalidTermId;
+  return RoundTrips(text) ? EncodeDoubleText(text) : kInvalidTermId;
+}
+
+bool InlineTermKind(TermId id, TermKind* kind) {
+  if (!IsInlineTerm(id)) return false;
+  char buf[32];
+  switch ((id >> kInlineKindShift) & 3) {
+    case kInlineInt:
+      *kind = TermKind::kLiteralInt;
+      return true;
+    case kInlineDateTime:
+      *kind = TermKind::kLiteralDateTime;
+      return true;
+    case kInlineDouble:
+      if (InlineDoubleText(id, buf).empty()) return false;
+      *kind = TermKind::kLiteralDouble;
+      return true;
   }
-  return EncodeDoubleText(text);
+  return false;
 }
 
 bool InlineTermText(TermId id, TermKind* kind, std::string* text) {
@@ -198,28 +218,12 @@ bool InlineTermText(TermId id, TermKind* kind, std::string* text) {
       *text += RenderInt(SignedPayload(id), buf);
       return true;
     case kInlineDouble: {
-      // Well-formed only if the payload is the one its value's text
-      // encodes to; that text then renders from the id by construction.
-      double value = 0;
-      if (!DecodeDouble(id & kInlinePayloadMask, &value)) return false;
-      const std::string_view rendered = RenderDouble(value, buf);
-      if (EncodeDoubleText(rendered) != id) return false;
+      const std::string_view rendered = InlineDoubleText(id, buf);
+      if (rendered.empty()) return false;
       *kind = TermKind::kLiteralDouble;
       *text = rendered;
       return true;
     }
-  }
-  return false;
-}
-
-bool InlineNumber(TermId id, double* value) {
-  if (!IsInlineTerm(id)) return false;
-  switch ((id >> kInlineKindShift) & 3) {
-    case kInlineInt:
-      *value = static_cast<double>(SignedPayload(id));
-      return true;
-    case kInlineDouble:
-      return DecodeDouble(id & kInlinePayloadMask, value);
   }
   return false;
 }
@@ -306,8 +310,7 @@ Result<std::string> TermDictionary::Text(TermId id) const {
 TermKind TermDictionary::Kind(TermId id) const {
   if (IsInlineTerm(id)) {
     TermKind kind = TermKind::kIri;
-    std::string text;
-    InlineTermText(id, &kind, &text);
+    InlineTermKind(id, &kind);
     return kind;
   }
   std::lock_guard<std::mutex> id_lock(id_mu_);

@@ -44,7 +44,7 @@ constexpr TermId kInlineTermBit = TermId{1} << 62;
 
 /// True for an id of the inline space (neither batch-local nor a
 /// dictionary id). Says nothing about well-formedness; see
-/// InlineTermText.
+/// InlineTermKind.
 inline bool IsInlineTerm(TermId id) {
   return (id & (kLocalTermBit | kInlineTermBit)) == kInlineTermBit;
 }
@@ -71,9 +71,9 @@ TermId InlineDateTime(std::int64_t epoch_ms);
 /// encodes to.
 bool InlineTermText(TermId id, TermKind* kind, std::string* text);
 
-/// Numeric value of an inline int or double id without rendering its
-/// text. False for any other id, inline dateTimes included.
-bool InlineNumber(TermId id, double* value);
+/// Kind of a well-formed inline id (as InlineTermText) without rendering
+/// its text.
+bool InlineTermKind(TermId id, TermKind* kind);
 
 /// Anything that can intern terms: the global TermDictionary on the serial
 /// path, a TermBatch on the parallel ingest path. The typed-literal

@@ -186,9 +186,6 @@ TEST(InlineTermTest, IntegersInlineWithinSixtyBits) {
     EXPECT_EQ(dict.Text(id).value(), text);
     EXPECT_EQ(dict.Kind(id), TermKind::kLiteralInt);
     EXPECT_EQ(dict.Intern(text, TermKind::kLiteralInt), id);
-    double number = 0;
-    EXPECT_TRUE(InlineNumber(id, &number));
-    EXPECT_EQ(number, static_cast<double>(v));
   }
   EXPECT_EQ(dict.size(), 0u);
   for (const std::int64_t v : fallback) {
@@ -214,8 +211,6 @@ TEST(InlineTermTest, DateTimesRoundTrip) {
     EXPECT_EQ(dict.Text(id).value(), text);
     EXPECT_EQ(dict.Kind(id), TermKind::kLiteralDateTime);
     EXPECT_EQ(dict.Intern(text, TermKind::kLiteralDateTime), id);
-    double number = 0;
-    EXPECT_FALSE(InlineNumber(id, &number));  // a dateTime is no number
   }
   EXPECT_EQ(dict.size(), 0u);
   const TermId far = dict.InternDateTime(kLimit);
@@ -283,9 +278,15 @@ TEST(InlineTermTest, MalformedInlineIdsAreNotFound) {
   TermKind kind;
   std::string text;
   EXPECT_FALSE(InlineTermText(zero_padded, &kind, &text));
+  EXPECT_FALSE(InlineTermKind(zero_padded, &kind));
+  EXPECT_FALSE(InlineTermKind(kind3, &kind));
   EXPECT_FALSE(dict.Text(zero_padded).ok());
+  EXPECT_EQ(dict.Kind(zero_padded), TermKind::kIri);
   EXPECT_TRUE(InlineTermText(twelve_point_five, &kind, &text));
   EXPECT_EQ(text, "12.5");
+  kind = TermKind::kIri;
+  EXPECT_TRUE(InlineTermKind(twelve_point_five, &kind));
+  EXPECT_EQ(kind, TermKind::kLiteralDouble);
   // Batch-local ids are not inline even with bit 62 set.
   EXPECT_FALSE(IsInlineTerm(kLocalTermBit | kInlineTermBit | 1));
 }
