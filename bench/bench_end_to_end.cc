@@ -11,12 +11,16 @@
 // triples and episodes must be byte-identical to the serial Ingest loop
 // at every shard count (nonzero exit on violation) — and prints the
 // merged per-operator metrics table. Emits BENCH_engine.json; `--quick`
-// shrinks the fleet for CI smoke runs.
+// shrinks the fleet for CI smoke runs (still ≥ 100 ms per sweep row).
 //
 // E10c repeats the sweep on the cluster runtime: 1/2/4 ClusterNodes over
 // the in-process loopback transport behind a ClusterEngine coordinator,
 // with the same byte-identity guard against the serial loop, and emits
 // BENCH_cluster.json.
+//
+// Both sweeps run every row kReps times, interleaved with the serial loop
+// and its traced twin in each repetition; the JSON records each row's
+// median wall time and speedup with their interquartile ranges.
 //
 // E11 isolates the global CEP stage: a dense-fleet ProximityDetector
 // sweep (serial per-report loop vs epoch-batched cell-parallel
@@ -70,15 +74,32 @@ DatacronEngine::Config EngineConfig(std::size_t num_shards) {
   return cfg;
 }
 
+/// Repetitions of every sweep row.
+constexpr int kReps = 5;
+
+/// Median and interquartile range of one row's repetitions.
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+Spread SpreadOf(const std::vector<double>& samples) {
+  PercentileTracker t;
+  for (const double x : samples) t.Add(x);
+  return {t.p50(), t.Percentile(75) - t.Percentile(25)};
+}
+
 /// One measured cell of the JSON report. threads == 0 means the serial
 /// report-by-report Ingest loop (no pool, no batch API).
 struct BenchRecord {
   int shards = 1;
   int threads = 0;
-  double wall_s = 0.0;
-  double reports_per_s = 0.0;
-  double speedup = 1.0;
-  bool identical = true;
+  double wall_s = 0.0;  // median over the repetitions
+  double wall_s_iqr = 0.0;
+  double reports_per_s = 0.0;  // at the median wall time
+  double speedup = 1.0;  // median of the per-repetition speedups
+  double speedup_iqr = 0.0;
+  bool identical = true;  // every repetition
   // Epoch-coalescing stats (registry counter deltas for this run; the
   // serial row has epochs == 0 and omits them from the table).
   std::uint64_t epochs = 0;
@@ -97,17 +118,19 @@ void WriteJson(const char* path, std::size_t reports) {
   std::fprintf(f, "{\n  \"experiment\": \"E10_engine\",\n");
   std::fprintf(f, "  \"nproc\": %u,\n", Nproc());
   std::fprintf(f, "  \"trace_overhead_pct\": %.2f,\n", g_trace_overhead_pct);
+  std::fprintf(f, "  \"reps\": %d,\n", kReps);
   std::fprintf(f, "  \"reports\": %zu,\n  \"records\": [\n", reports);
   for (std::size_t i = 0; i < g_records.size(); ++i) {
     const BenchRecord& r = g_records[i];
     std::fprintf(f,
                  "    {\"shards\": %d, \"threads\": %d, \"wall_s\": %.4f, "
-                 "\"reports_per_s\": %.0f, \"speedup\": %.3f, "
+                 "\"wall_s_iqr\": %.4f, \"reports_per_s\": %.0f, "
+                 "\"speedup\": %.3f, \"speedup_iqr\": %.3f, "
                  "\"identical\": %s, \"epochs\": %llu, "
                  "\"mailbox_msgs\": %llu, \"reports_per_epoch\": %.1f, "
                  "\"terms_per_merge\": %.1f, \"dict_terms\": %zu}%s\n",
-                 r.shards, r.threads, r.wall_s, r.reports_per_s, r.speedup,
-                 r.identical ? "true" : "false",
+                 r.shards, r.threads, r.wall_s, r.wall_s_iqr, r.reports_per_s,
+                 r.speedup, r.speedup_iqr, r.identical ? "true" : "false",
                  static_cast<unsigned long long>(r.epochs),
                  static_cast<unsigned long long>(r.mailbox_msgs),
                  r.reports_per_epoch, r.terms_per_merge, r.dict_terms,
@@ -138,11 +161,14 @@ RunOutputs Snapshot(const DatacronEngine& engine, std::vector<Event> events) {
 }
 
 /// One measured cell of the cluster sweep (BENCH_cluster.json).
+/// Medians and IQRs over the repetitions, as in BenchRecord.
 struct ClusterRecord {
   int nodes = 1;
   double wall_s = 0.0;
+  double wall_s_iqr = 0.0;
   double reports_per_s = 0.0;
   double speedup = 1.0;
+  double speedup_iqr = 0.0;
   bool identical = true;
   std::size_t dict_terms = 0;  // coordinator dictionary entries
 };
@@ -155,15 +181,17 @@ void WriteClusterJson(const char* path, std::size_t reports) {
   std::fprintf(f, "{\n  \"experiment\": \"E10c_cluster\",\n");
   std::fprintf(f, "  \"nproc\": %u,\n", Nproc());
   std::fprintf(f, "  \"transport\": \"loopback\",\n");
+  std::fprintf(f, "  \"reps\": %d,\n", kReps);
   std::fprintf(f, "  \"reports\": %zu,\n  \"records\": [\n", reports);
   for (std::size_t i = 0; i < g_cluster_records.size(); ++i) {
     const ClusterRecord& r = g_cluster_records[i];
     std::fprintf(f,
                  "    {\"nodes\": %d, \"wall_s\": %.4f, "
-                 "\"reports_per_s\": %.0f, \"speedup\": %.3f, "
+                 "\"wall_s_iqr\": %.4f, \"reports_per_s\": %.0f, "
+                 "\"speedup\": %.3f, \"speedup_iqr\": %.3f, "
                  "\"identical\": %s, \"dict_terms\": %zu}%s\n",
-                 r.nodes, r.wall_s, r.reports_per_s, r.speedup,
-                 r.identical ? "true" : "false", r.dict_terms,
+                 r.nodes, r.wall_s, r.wall_s_iqr, r.reports_per_s, r.speedup,
+                 r.speedup_iqr, r.identical ? "true" : "false", r.dict_terms,
                  i + 1 < g_cluster_records.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -429,12 +457,73 @@ bool RunE11(bool quick) {
   return ok;
 }
 
+/// The serial Ingest loop plus Finish; returns its wall time.
+double TimeSerial(const std::vector<PositionReport>& stream) {
+  DatacronEngine engine(EngineConfig(1));
+  Stopwatch timer;
+  for (const auto& r : stream) engine.Ingest(r);
+  engine.Finish();
+  return timer.ElapsedSeconds();
+}
+
+/// One run of a cluster sweep row; false (after printing why) if the
+/// cluster failed. `metrics`, when set, receives the fleet snapshot.
+bool TimeCluster(const std::vector<PositionReport>& stream, std::size_t nodes,
+                 double* wall_s, RunOutputs* outputs,
+                 std::size_t* dict_terms, obs::MetricsSnapshot* metrics) {
+  LocalCluster::Options copts;
+  copts.engine = EngineConfig(1);
+  copts.num_nodes = nodes;
+  copts.wire = LocalCluster::Wire::kLoopback;
+  Result<std::unique_ptr<LocalCluster>> cluster = LocalCluster::Start(copts);
+  if (!cluster.ok()) {
+    std::fprintf(stderr, "cluster start failed at %zu nodes: %s\n", nodes,
+                 cluster.status().ToString().c_str());
+    return false;
+  }
+  Stopwatch timer;
+  Result<std::vector<Event>> evs =
+      cluster.value()->engine().IngestBatch(stream);
+  Result<std::vector<Event>> fin = cluster.value()->engine().Finish();
+  if (!evs.ok() || !fin.ok()) {
+    std::fprintf(stderr, "cluster ingest failed at %zu nodes: %s\n", nodes,
+                 (evs.ok() ? fin.status() : evs.status()).ToString().c_str());
+    return false;
+  }
+  *wall_s = timer.ElapsedSeconds();
+  std::vector<Event> events = std::move(evs).value();
+  events.insert(events.end(), fin.value().begin(), fin.value().end());
+  const DatacronEngine& engine = cluster.value()->engine().engine();
+  *outputs = Snapshot(engine, std::move(events));
+  *dict_terms = engine.dictionary().size();
+  if (metrics != nullptr) {
+    Result<obs::MetricsSnapshot> snap =
+        cluster.value()->engine().MetricsSnapshot();
+    if (!snap.ok()) {
+      std::fprintf(stderr, "cluster metrics failed: %s\n",
+                   snap.status().ToString().c_str());
+      return false;
+    }
+    std::printf("\n  fleet metrics (%zu nodes, node snapshots merged across "
+                "the transport):\n%s",
+                nodes, engine.MetricsReport(snap.value()).c_str());
+    *metrics = std::move(snap).value();
+  }
+  const Status stop = cluster.value()->Stop();
+  if (!stop.ok()) {
+    std::fprintf(stderr, "cluster stop failed at %zu nodes: %s\n", nodes,
+                 stop.ToString().c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int Run(bool quick, const char* trace_out) {
   AisGeneratorConfig fleet;
-  fleet.num_vessels = quick ? 25 : 100;
-  fleet.duration = quick ? 20 * kMinute : kHour;
+  fleet.num_vessels = quick ? 120 : 200;
+  fleet.duration = quick ? 2 * kHour : 4 * kHour;
   const auto traces = GenerateAisFleet(fleet);
   ObservationConfig obs;
   obs.fixed_interval_ms = 10 * kSecond;
@@ -451,16 +540,15 @@ int Run(bool quick, const char* trace_out) {
   const auto final_events = engine.Finish();
   serial_events.insert(serial_events.end(), final_events.begin(),
                        final_events.end());
-  const double serial_s = total_timer.ElapsedSeconds();
+  const double reference_s = total_timer.ElapsedSeconds();
   const RunOutputs serial = Snapshot(engine, std::move(serial_events));
-  g_records.push_back({1, 0, serial_s, stream.size() / serial_s, 1.0, true});
-  g_records.back().dict_terms = engine.dictionary()->size();
 
   std::printf("E10: end-to-end pipeline latency (%zu vessels, %zu reports, "
-              "%zu events, %zu critical points, %zu triples%s)\n\n",
+              "%zu events, %zu critical points, %zu triples, %zu dictionary "
+              "terms%s)\n\n",
               fleet.num_vessels, stream.size(), serial.events.size(),
               engine.critical_points(), engine.triples().size(),
-              quick ? ", quick" : "");
+              engine.dictionary()->size(), quick ? ", quick" : "");
 
   const obs::MetricsSnapshot serial_snap = engine.MetricsSnapshot();
   PrintStage("synopses", serial_snap, "engine.synopses_ns");
@@ -470,42 +558,28 @@ int Run(bool quick, const char* trace_out) {
   PrintStage("TOTAL", serial_snap, "engine.report_ns");
   std::printf("\n  sustained throughput: %.0f reports/s (%.2f s wall for "
               "%lld min of simulated traffic => %.0fx real time)\n",
-              stream.size() / serial_s, serial_s,
+              stream.size() / reference_s, reference_s,
               static_cast<long long>(fleet.duration / kMinute),
-              (fleet.duration / 1000.0) / serial_s);
+              (fleet.duration / 1000.0) / reference_s);
   AddMetricsPhase("serial", serial_snap);
 
-  // --- Tracing overhead: the same serial loop with spans recording. ---
-  // Everything below runs traced; the trace (if requested) covers the
-  // traced serial run, the shard sweep, and the cluster sweep.
-  std::vector<obs::TraceSpanRecord> all_spans;
-  obs::TraceCollector::Discard();
-  obs::EnableTracing(true);
-  {
-    DatacronEngine traced(EngineConfig(1));
-    Stopwatch traced_timer;
-    for (const auto& r : stream) traced.Ingest(r);
-    traced.Finish();
-    const double traced_s = traced_timer.ElapsedSeconds();
-    g_trace_overhead_pct = 100.0 * (traced_s - serial_s) / serial_s;
-    std::printf("\n  tracing overhead: %.2f s traced vs %.2f s untraced "
-                "(%+.2f%%)\n",
-                traced_s, serial_s, g_trace_overhead_pct);
-  }
-  {
-    std::vector<obs::TraceSpanRecord> spans = obs::TraceCollector::Drain();
-    all_spans.insert(all_spans.end(), spans.begin(), spans.end());
-  }
-
-  // --- E10b: sharded-runtime sweep with determinism guard. -----------
-  std::printf("\nE10b: sharded IngestBatch sweep (byte-identical to the "
-              "serial loop at every shard count)\n");
-  std::printf("%8s %8s %10s %14s %9s %10s %8s %9s %11s %11s\n", "shards",
-              "threads", "wall_s", "reports_per_s", "speedup", "identical",
-              "epochs", "rpt/epoch", "terms/merge", "mbox_msgs");
-  std::printf("%8s %8d %10.3f %14.0f %9s %10s %8s %9s %11s %11s\n", "serial",
-              0, serial_s, stream.size() / serial_s, "1.0x", "-", "-", "-",
-              "-", "-");
+  // --- E10b/E10c: the interleaved sweep. -------------------------------
+  // Each repetition runs every row once: the serial loop, the same loop
+  // with spans recording (the tracing overhead), the sharded engine at
+  // 1/2/4/8 shards and the loopback cluster at 1/2/4 nodes. A row's
+  // speedup in a repetition is that repetition's serial wall time over
+  // the row's, so host noise lands on both alike. Every run is checked
+  // against the serial outputs.
+  const std::size_t shard_counts[] = {1, 2, 4, 8};
+  const std::size_t node_counts[] = {1, 2, 4};
+  std::vector<double> serial_walls;
+  std::vector<double> trace_overheads;
+  std::vector<std::vector<double>> shard_walls(std::size(shard_counts));
+  std::vector<std::vector<double>> shard_speedups(std::size(shard_counts));
+  std::vector<std::vector<double>> node_walls(std::size(node_counts));
+  std::vector<std::vector<double>> node_speedups(std::size(node_counts));
+  std::vector<BenchRecord> shard_records(std::size(shard_counts));
+  std::vector<ClusterRecord> node_records(std::size(node_counts));
   bool ok = true;
   obs::Counter* epochs_ctr =
       obs::MetricsRegistry::Global().counter("shard.epochs");
@@ -513,134 +587,179 @@ int Run(bool quick, const char* trace_out) {
       obs::MetricsRegistry::Global().counter("shard.mailbox_enqueues");
   obs::Counter* merge_terms_ctr =
       obs::MetricsRegistry::Global().counter("engine.merge_terms");
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    DatacronEngine sharded(EngineConfig(shards));
-    ThreadPool pool(shards);
-    const std::uint64_t epochs0 = epochs_ctr->Value();
-    const std::uint64_t mbox0 = mbox_ctr->Value();
-    const std::uint64_t terms0 = merge_terms_ctr->Value();
-    Stopwatch timer;
-    std::vector<Event> events = sharded.IngestBatch(stream, &pool);
-    const auto fin = sharded.Finish();
-    events.insert(events.end(), fin.begin(), fin.end());
-    const double wall_s = timer.ElapsedSeconds();
-    // Epoch-coalescing stats: one coalesced term merge and one mailbox
-    // message per shard per epoch, so terms/merge and messages scale with
-    // epochs rather than with reports.
-    const std::uint64_t epochs = epochs_ctr->Value() - epochs0;
-    const std::uint64_t mbox_msgs = mbox_ctr->Value() - mbox0;
-    const std::uint64_t merge_terms = merge_terms_ctr->Value() - terms0;
-    const double rpt_per_epoch =
-        epochs > 0 ? static_cast<double>(stream.size()) / epochs : 0.0;
-    const double terms_per_merge =
-        epochs > 0 ? static_cast<double>(merge_terms) / epochs : 0.0;
-    const RunOutputs outputs = Snapshot(sharded, std::move(events));
-    const bool identical = outputs == serial;
-    if (!identical) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: sharded run differs from serial "
-                   "at %zu shards\n",
-                   shards);
-      ok = false;
-    }
-    g_records.push_back({static_cast<int>(shards),
-                         static_cast<int>(pool.num_threads()), wall_s,
-                         stream.size() / wall_s, serial_s / wall_s, identical,
-                         epochs, mbox_msgs, rpt_per_epoch, terms_per_merge,
-                         sharded.dictionary()->size()});
-    std::printf("%8zu %8zu %10.3f %14.0f %8.1fx %10s %8llu %9.1f %11.1f "
-                "%11llu\n",
-                shards, pool.num_threads(), wall_s, stream.size() / wall_s,
-                serial_s / wall_s, identical ? "yes" : "NO",
-                static_cast<unsigned long long>(epochs), rpt_per_epoch,
-                terms_per_merge,
-                static_cast<unsigned long long>(mbox_msgs));
-    if (shards == 8) {
-      std::printf("\n  per-operator metrics (8 shards, keyed rows merged "
-                  "across shards):\n");
-      std::printf("%s", sharded.MetricsReport().c_str());
-      obs::MetricsSnapshot snap = sharded.MetricsSnapshot();
-      snap.AddHistogram("pool.queue_ns", pool.QueueWaitNanos());
-      AddMetricsPhase("sharded_8", std::move(snap));
-    }
-  }
-  {
-    // Drain the shard sweep's spans before the cluster phase so the ring
-    // buffers start empty (minimizes overflow drops in the trace).
-    std::vector<obs::TraceSpanRecord> spans = obs::TraceCollector::Drain();
-    all_spans.insert(all_spans.end(), spans.begin(), spans.end());
-  }
+  for (int rep = 0; rep < kReps; ++rep) {
+    const double serial_s = TimeSerial(stream);
+    serial_walls.push_back(serial_s);
+    obs::EnableTracing(true);
+    const double traced_s = TimeSerial(stream);
+    obs::EnableTracing(false);
+    obs::TraceCollector::Discard();
+    trace_overheads.push_back(100.0 * (traced_s - serial_s) / serial_s);
 
-  // --- E10c: cluster sweep with the same determinism guard. ----------
-  std::printf("\nE10c: cluster IngestBatch sweep (loopback transport, "
-              "byte-identical to the serial loop at every node count)\n");
-  std::printf("%8s %10s %14s %9s %10s\n", "nodes", "wall_s", "reports_per_s",
-              "speedup", "identical");
-  for (const std::size_t nodes : {1u, 2u, 4u}) {
-    LocalCluster::Options copts;
-    copts.engine = EngineConfig(1);
-    copts.num_nodes = nodes;
-    copts.wire = LocalCluster::Wire::kLoopback;
-    Result<std::unique_ptr<LocalCluster>> cluster = LocalCluster::Start(copts);
-    if (!cluster.ok()) {
-      std::fprintf(stderr, "cluster start failed at %zu nodes: %s\n", nodes,
-                   cluster.status().ToString().c_str());
-      return 1;
+    for (std::size_t i = 0; i < std::size(shard_counts); ++i) {
+      const std::size_t shards = shard_counts[i];
+      DatacronEngine sharded(EngineConfig(shards));
+      ThreadPool pool(shards);
+      const std::uint64_t epochs0 = epochs_ctr->Value();
+      const std::uint64_t mbox0 = mbox_ctr->Value();
+      const std::uint64_t terms0 = merge_terms_ctr->Value();
+      Stopwatch timer;
+      std::vector<Event> events = sharded.IngestBatch(stream, &pool);
+      const auto fin = sharded.Finish();
+      events.insert(events.end(), fin.begin(), fin.end());
+      const double wall_s = timer.ElapsedSeconds();
+      shard_walls[i].push_back(wall_s);
+      shard_speedups[i].push_back(serial_s / wall_s);
+      BenchRecord& rec = shard_records[i];
+      if (Snapshot(sharded, std::move(events)) != serial) {
+        std::fprintf(stderr,
+                     "DETERMINISM VIOLATION: sharded run differs from serial "
+                     "at %zu shards\n",
+                     shards);
+        rec.identical = false;
+        ok = false;
+      }
+      if (rep > 0) continue;
+      // Epoch-coalescing stats (the same in every repetition): one
+      // coalesced term merge and one mailbox message per shard per
+      // epoch, so terms/merge and messages scale with epochs rather than
+      // with reports.
+      rec.shards = static_cast<int>(shards);
+      rec.threads = static_cast<int>(pool.num_threads());
+      rec.epochs = epochs_ctr->Value() - epochs0;
+      rec.mailbox_msgs = mbox_ctr->Value() - mbox0;
+      const std::uint64_t merge_terms = merge_terms_ctr->Value() - terms0;
+      rec.reports_per_epoch =
+          rec.epochs > 0 ? static_cast<double>(stream.size()) / rec.epochs
+                         : 0.0;
+      rec.terms_per_merge =
+          rec.epochs > 0 ? static_cast<double>(merge_terms) / rec.epochs
+                         : 0.0;
+      rec.dict_terms = sharded.dictionary()->size();
+      if (shards == 8) {
+        std::printf("\n  per-operator metrics (8 shards, keyed rows merged "
+                    "across shards):\n");
+        std::printf("%s", sharded.MetricsReport().c_str());
+        obs::MetricsSnapshot snap = sharded.MetricsSnapshot();
+        snap.AddHistogram("pool.queue_ns", pool.QueueWaitNanos());
+        AddMetricsPhase("sharded_8", std::move(snap));
+      }
     }
-    Stopwatch timer;
-    Result<std::vector<Event>> evs =
-        cluster.value()->engine().IngestBatch(stream);
-    Result<std::vector<Event>> fin = cluster.value()->engine().Finish();
-    if (!evs.ok() || !fin.ok()) {
-      std::fprintf(stderr, "cluster ingest failed at %zu nodes: %s\n", nodes,
-                   (evs.ok() ? fin.status() : evs.status())
-                       .ToString()
-                       .c_str());
-      return 1;
-    }
-    const double wall_s = timer.ElapsedSeconds();
-    std::vector<Event> events = std::move(evs).value();
-    events.insert(events.end(), fin.value().begin(), fin.value().end());
-    const RunOutputs outputs =
-        Snapshot(cluster.value()->engine().engine(), std::move(events));
-    const bool identical = outputs == serial;
-    if (!identical) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: cluster run differs from serial "
-                   "at %zu nodes\n",
-                   nodes);
-      ok = false;
-    }
-    g_cluster_records.push_back(
-        {static_cast<int>(nodes), wall_s, stream.size() / wall_s,
-         serial_s / wall_s, identical,
-         cluster.value()->engine().engine().dictionary().size()});
-    std::printf("%8zu %10.3f %14.0f %8.1fx %10s\n", nodes, wall_s,
-                stream.size() / wall_s, serial_s / wall_s,
-                identical ? "yes" : "NO");
-    if (nodes == 4) {
-      std::printf("\n  fleet metrics (4 nodes, node snapshots merged across "
-                  "the transport):\n");
-      Result<obs::MetricsSnapshot> snap =
-          cluster.value()->engine().MetricsSnapshot();
-      if (!snap.ok()) {
-        std::fprintf(stderr, "cluster metrics failed: %s\n",
-                     snap.status().ToString().c_str());
+
+    for (std::size_t i = 0; i < std::size(node_counts); ++i) {
+      const std::size_t nodes = node_counts[i];
+      ClusterRecord& rec = node_records[i];
+      double wall_s = 0.0;
+      RunOutputs outputs;
+      obs::MetricsSnapshot snap;
+      const bool report = rep == 0 && nodes == 4;
+      if (!TimeCluster(stream, nodes, &wall_s, &outputs, &rec.dict_terms,
+                       report ? &snap : nullptr)) {
         return 1;
       }
-      std::printf("%s", cluster.value()
-                            ->engine()
-                            .engine()
-                            .MetricsReport(snap.value())
-                            .c_str());
-      AddMetricsPhase("cluster_4", std::move(snap).value());
+      if (report) AddMetricsPhase("cluster_4", std::move(snap));
+      node_walls[i].push_back(wall_s);
+      node_speedups[i].push_back(serial_s / wall_s);
+      rec.nodes = static_cast<int>(nodes);
+      if (outputs != serial) {
+        std::fprintf(stderr,
+                     "DETERMINISM VIOLATION: cluster run differs from serial "
+                     "at %zu nodes\n",
+                     nodes);
+        rec.identical = false;
+        ok = false;
+      }
     }
-    const Status stop = cluster.value()->Stop();
-    if (!stop.ok()) {
-      std::fprintf(stderr, "cluster stop failed at %zu nodes: %s\n", nodes,
-                   stop.ToString().c_str());
+  }
+
+  const Spread serial_wall = SpreadOf(serial_walls);
+  const Spread overhead = SpreadOf(trace_overheads);
+  g_trace_overhead_pct = overhead.median;
+  g_records.push_back({1, 0, serial_wall.median, serial_wall.iqr,
+                       stream.size() / serial_wall.median, 1.0, 0.0, true});
+  g_records.back().dict_terms = engine.dictionary()->size();
+  std::printf("\nE10b: sharded IngestBatch sweep (byte-identical to the "
+              "serial loop at every shard count; medians of %d interleaved "
+              "repetitions, IQR in brackets)\n",
+              kReps);
+  std::printf("%8s %8s %18s %14s %16s %10s %8s %9s %11s %11s\n", "shards",
+              "threads", "wall_s", "reports_per_s", "speedup", "identical",
+              "epochs", "rpt/epoch", "terms/merge", "mbox_msgs");
+  std::printf("%8s %8d %9.3f [%6.3f] %14.0f %16s %10s %8s %9s %11s %11s\n",
+              "serial", 0, serial_wall.median, serial_wall.iqr,
+              stream.size() / serial_wall.median, "1.0x", "-", "-", "-", "-",
+              "-");
+  for (std::size_t i = 0; i < std::size(shard_counts); ++i) {
+    BenchRecord& rec = shard_records[i];
+    const Spread wall = SpreadOf(shard_walls[i]);
+    const Spread speedup = SpreadOf(shard_speedups[i]);
+    rec.wall_s = wall.median;
+    rec.wall_s_iqr = wall.iqr;
+    rec.reports_per_s = stream.size() / wall.median;
+    rec.speedup = speedup.median;
+    rec.speedup_iqr = speedup.iqr;
+    g_records.push_back(rec);
+    std::printf("%8d %8d %9.3f [%6.3f] %14.0f %8.2fx [%5.2f] %10s %8llu "
+                "%9.1f %11.1f %11llu\n",
+                rec.shards, rec.threads, rec.wall_s, rec.wall_s_iqr,
+                rec.reports_per_s, rec.speedup, rec.speedup_iqr,
+                rec.identical ? "yes" : "NO",
+                static_cast<unsigned long long>(rec.epochs),
+                rec.reports_per_epoch, rec.terms_per_merge,
+                static_cast<unsigned long long>(rec.mailbox_msgs));
+  }
+  std::printf("\n  tracing overhead: %+.2f%% [IQR %.2f] (traced vs untraced "
+              "serial loop, same repetition)\n",
+              overhead.median, overhead.iqr);
+
+  std::printf("\nE10c: cluster IngestBatch sweep (loopback transport, "
+              "byte-identical to the serial loop at every node count; "
+              "medians of %d interleaved repetitions)\n",
+              kReps);
+  std::printf("%8s %18s %14s %16s %10s\n", "nodes", "wall_s",
+              "reports_per_s", "speedup", "identical");
+  for (std::size_t i = 0; i < std::size(node_counts); ++i) {
+    ClusterRecord& rec = node_records[i];
+    const Spread wall = SpreadOf(node_walls[i]);
+    const Spread speedup = SpreadOf(node_speedups[i]);
+    rec.wall_s = wall.median;
+    rec.wall_s_iqr = wall.iqr;
+    rec.reports_per_s = stream.size() / wall.median;
+    rec.speedup = speedup.median;
+    rec.speedup_iqr = speedup.iqr;
+    g_cluster_records.push_back(rec);
+    std::printf("%8d %9.3f [%6.3f] %14.0f %8.2fx [%5.2f] %10s\n", rec.nodes,
+                rec.wall_s, rec.wall_s_iqr, rec.reports_per_s, rec.speedup,
+                rec.speedup_iqr, rec.identical ? "yes" : "NO");
+  }
+
+  // --- The trace: one traced 4-shard and one traced 2-node run over the
+  // stream's first kTracedReports reports (so the span rings do not
+  // overflow), then E11, all recording spans; the sweep ran untraced.
+  constexpr std::size_t kTracedReports = 4096;
+  const std::vector<PositionReport> traced_stream(
+      stream.begin(),
+      stream.begin() + std::min(stream.size(), kTracedReports));
+  std::vector<obs::TraceSpanRecord> all_spans;
+  obs::TraceCollector::Discard();
+  const std::uint64_t dropped0 = obs::TraceCollector::DroppedCount();
+  obs::EnableTracing(true);
+  {
+    DatacronEngine sharded(EngineConfig(4));
+    ThreadPool pool(4);
+    sharded.IngestBatch(traced_stream, &pool);
+    sharded.Finish();
+    std::vector<obs::TraceSpanRecord> spans = obs::TraceCollector::Drain();
+    all_spans.insert(all_spans.end(), spans.begin(), spans.end());
+    double wall_s = 0.0;
+    RunOutputs outputs;
+    std::size_t dict_terms = 0;
+    if (!TimeCluster(traced_stream, 2, &wall_s, &outputs, &dict_terms,
+                     nullptr)) {
       return 1;
     }
+    spans = obs::TraceCollector::Drain();
+    all_spans.insert(all_spans.end(), spans.begin(), spans.end());
   }
   WriteClusterJson("BENCH_cluster.json", stream.size());
 
@@ -664,7 +783,7 @@ int Run(bool quick, const char* trace_out) {
     std::printf("wrote %s (%zu spans, %llu dropped to ring overflow)\n",
                 trace_out, all_spans.size(),
                 static_cast<unsigned long long>(
-                    obs::TraceCollector::DroppedCount()));
+                    obs::TraceCollector::DroppedCount() - dropped0));
   }
 
   // --- Close the loop: partition + query what the pipeline produced. --

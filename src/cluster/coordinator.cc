@@ -14,8 +14,8 @@ namespace {
 
 /// Moves one node's epoch reply into an EpochArena, translating every
 /// node-local term id through the node's remap table (remap[i] is the
-/// coordinator id of node id i + 1). Inline literal ids are the same on
-/// every node and pass through. An id outside the node dictionary or a
+/// coordinator id of node id i + 1). Inline ids — literals and position
+/// nodes — are the same on every node and pass through. An id outside the node dictionary or a
 /// malformed inline id is a protocol error, never an out-of-bounds read.
 Status ImportArena(EpochResultMsg reply, const std::vector<TermId>& remap,
                    DatacronEngine::EpochArena* arena) {

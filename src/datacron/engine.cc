@@ -106,44 +106,19 @@ void DatacronEngine::TransformKeyed(Shard* shard, EntityId entity,
                           ? static_cast<TermSource*>(arena->terms.get())
                           : &dict_;
 
-  // Pre-seed the sink with this entity's RDF continuation state,
-  // reconstructed by re-interning IRI text. Each IRI either already
-  // exists in the global dictionary or was first interned by an earlier
-  // report of this same entity — which merges earlier in input order —
-  // so re-interning never allocates an id out of first-occurrence order
-  // and the ids match the serial run.
-  std::unordered_map<EntityId, TermId> prev_node;
-  std::unordered_map<EntityId, TermId> known;
-  if (shard->rdf_known.count(entity) > 0) {
-    known.emplace(entity, terms->Intern(EntityIri(entity)));
-  }
-  if (config_.rdf.emit_sequence_links) {
-    auto prev_it = shard->prev_node_ts.find(entity);
-    if (prev_it != shard->prev_node_ts.end()) {
-      prev_node.emplace(
-          entity, terms->Intern(PositionNodeIri(entity, prev_it->second)));
-    }
-  }
   Rdfizer::Sink rdf_sink;
   rdf_sink.terms = terms;
   rdf_sink.tags = &arena->tags;
   rdf_sink.node_geo = &arena->node_geo;
-  rdf_sink.prev_node = &prev_node;
-  rdf_sink.known_entities = &known;
+  rdf_sink.cursors = &shard->node_cursors;
 
   if (config_.rdfize_all_reports) {
     if (report != nullptr) {
       rdfizer_->TransformReportInto(*report, rdf_sink, &arena->triples);
-      shard->prev_node_ts[entity] = report->timestamp;
-      shard->rdf_known.insert(entity);
     }
   } else {
     for (const CriticalPoint& cp : cps) {
       rdfizer_->TransformCriticalPointInto(cp, rdf_sink, &arena->triples);
-      // Gap-start points carry the pre-gap report, so the last cp's
-      // timestamp — not the report's — is the continuation point.
-      shard->prev_node_ts[entity] = cp.report.timestamp;
-      shard->rdf_known.insert(entity);
     }
   }
   std::vector<Episode> episodes;

@@ -5,7 +5,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cep/anomaly.h"
@@ -313,13 +312,11 @@ class DatacronEngine {
     GapDetector gap;
     SpeedAnomalyDetector speed_anomaly;
     EpisodeBuilder episode_builder;
-    /// Timestamp of the entity's last emitted RDF node; the previous-node
-    /// IRI is reconstructed from it when pre-seeding a transform sink, so
-    /// sequence links chain correctly across reports without the shard
-    /// holding (possibly batch-local) TermIds.
-    std::unordered_map<EntityId, TimestampMs> prev_node_ts;
-    /// Entities whose entity-level typing triples were already emitted.
-    std::unordered_set<EntityId> rdf_known;
+    /// Each entity's RDF node cursor, which the transform sink advances
+    /// in place: node ids, sequence links and entity typing continue
+    /// across reports and epochs without the shard holding (possibly
+    /// batch-local) TermIds.
+    std::unordered_map<EntityId, NodeCursor> node_cursors;
   };
 
   std::size_t ShardOf(EntityId entity) const;

@@ -12,6 +12,28 @@ namespace {
 /// not worth paying.
 constexpr std::size_t kMinParallelBatch = 256;
 
+/// Where AdvanceCursor put an entity: the ordinal of the node it is at,
+/// and whether that is its first node or one after an earlier node (a
+/// node to link from). Neither: it repeats the last node's timestamp.
+struct NodeStep {
+  std::uint64_t ordinal = 0;
+  bool first = false;
+  bool moved = false;
+};
+
+/// Moves `entity`'s cursor to a node at `ts` (see NodeCursor).
+NodeStep AdvanceCursor(std::unordered_map<EntityId, NodeCursor>* cursors,
+                       EntityId entity, TimestampMs ts) {
+  auto [it, first] = cursors->try_emplace(entity, NodeCursor{ts, 0});
+  NodeCursor& cursor = it->second;
+  const bool moved = !first && cursor.ts != ts;
+  if (moved) {
+    cursor.ts = ts;
+    ++cursor.ordinal;
+  }
+  return {cursor.ordinal, first, moved};
+}
+
 }  // namespace
 
 Rdfizer::Rdfizer(const Config& config, TermDictionary* dict,
@@ -22,7 +44,9 @@ Rdfizer::Rdfizer(const Config& config, TermDictionary* dict,
       grid_(config.region, config.cell_deg) {}
 
 TermId Rdfizer::NodeIdOf(const PositionReport& report) const {
-  return dict_->Find(PositionNodeIri(report.entity_id, report.timestamp));
+  auto it = node_index_.find({report.entity_id, report.timestamp});
+  if (it == node_index_.end()) return kInvalidTermId;
+  return dict_->Find(PositionNodeIri(report.entity_id, it->second));
 }
 
 Rdfizer::Sink Rdfizer::MemberSink() {
@@ -30,34 +54,30 @@ Rdfizer::Sink Rdfizer::MemberSink() {
   sink.terms = dict_;
   sink.tags = &tags_;
   sink.node_geo = &node_geo_;
-  sink.prev_node = &prev_node_;
-  sink.known_entities = &known_entities_;
+  sink.cursors = &cursors_;
+  sink.node_index = &node_index_;
   return sink;
 }
 
 TermId Rdfizer::EmitNode(const PositionReport& report, const Sink& sink,
                          std::vector<Triple>* out) const {
   TermSource& terms = *sink.terms;
-  const TermId node =
-      terms.Intern(PositionNodeIri(report.entity_id, report.timestamp));
+  const NodeStep step =
+      AdvanceCursor(sink.cursors, report.entity_id, report.timestamp);
+  const TermId node = terms.InternNode(report.entity_id, step.ordinal);
+  if (sink.node_index != nullptr) {
+    (*sink.node_index)[{report.entity_id, report.timestamp}] = step.ordinal;
+  }
+  const TermId entity = terms.Intern(EntityIri(report.entity_id));
+  const TermId traj = terms.Intern(TrajectoryIri(report.entity_id));
 
-  // Entity-level triples, once per entity.
-  auto [ent_it, is_new_entity] =
-      sink.known_entities->try_emplace(report.entity_id, kInvalidTermId);
-  if (is_new_entity) {
-    const TermId entity = terms.Intern(EntityIri(report.entity_id));
-    ent_it->second = entity;
+  // Entity-level triples, with the entity's first node.
+  if (step.first) {
     out->push_back({entity, vocab_->p_type,
                     report.domain == Domain::kMaritime ? vocab_->c_vessel
                                                        : vocab_->c_aircraft});
-    const TermId traj = terms.Intern(TrajectoryIri(report.entity_id));
     out->push_back({traj, vocab_->p_type, vocab_->c_trajectory});
-    if (sink.entity_order != nullptr) {
-      sink.entity_order->push_back(report.entity_id);
-    }
   }
-  const TermId entity = ent_it->second;
-  const TermId traj = terms.Intern(TrajectoryIri(report.entity_id));
 
   const GridCell cell = grid_.CellOf(report.position.ll());
   const std::int64_t bucket = BucketOf(report.timestamp);
@@ -86,16 +106,9 @@ TermId Rdfizer::EmitNode(const PositionReport& report, const Sink& sink,
   out->push_back(
       {node, vocab_->p_in_bucket, terms.Intern(BucketIri(bucket))});
 
-  if (config_.emit_sequence_links) {
-    auto prev_it = sink.prev_node->find(report.entity_id);
-    if (prev_it != sink.prev_node->end()) {
-      if (prev_it->second != node) {
-        out->push_back({prev_it->second, vocab_->p_next_node, node});
-      }
-    } else if (sink.first_node != nullptr) {
-      (*sink.first_node)[report.entity_id] = node;
-    }
-    (*sink.prev_node)[report.entity_id] = node;
+  if (config_.emit_sequence_links && step.moved) {
+    out->push_back({terms.InternNode(report.entity_id, step.ordinal - 1),
+                    vocab_->p_next_node, node});
   }
 
   (*sink.tags)[node] = StTag{cell, bucket};
@@ -194,22 +207,38 @@ std::vector<Triple> Rdfizer::TransformBatch(
 
   // Phase 1: chunk-local transform. Each worker interns into its own
   // TermBatch (read-only probes of the shared dictionary, batch-local ids
-  // for new terms) and tracks entity/link state locally.
+  // for new terms) and advances chunk-local cursors.
   struct Chunk {
     explicit Chunk(const TermDictionary* global) : terms(global) {}
     TermBatch terms;
     std::vector<Triple> triples;
     std::unordered_map<TermId, StTag> tags;
     std::unordered_map<TermId, NodeGeo> node_geo;
-    std::unordered_map<EntityId, TermId> prev_node;  // final value = last node
-    std::unordered_map<EntityId, TermId> first_node;
-    std::unordered_map<EntityId, TermId> known_entities;
-    std::vector<EntityId> entity_order;
+    std::unordered_map<EntityId, NodeCursor> cursors;
   };
   const std::size_t per_chunk = (reports.size() + chunks - 1) / chunks;
   std::vector<Chunk> results;
   results.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) results.emplace_back(dict_);
+
+  // Serial ordinal pre-pass: walks the member cursors over the batch, and
+  // hands each chunk the cursors its entities had at the chunk's start, so
+  // every chunk names serial's nodes, links its first node of an entity
+  // to the one before it and types only entities without a cursor.
+  std::unordered_set<EntityId> seen;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    seen.clear();
+    const std::size_t end = std::min(reports.size(), (c + 1) * per_chunk);
+    for (std::size_t i = c * per_chunk; i < end; ++i) {
+      const PositionReport& r = reports[i];
+      if (seen.insert(r.entity_id).second) {
+        auto it = cursors_.find(r.entity_id);
+        if (it != cursors_.end()) results[c].cursors.emplace(*it);
+      }
+      node_index_[{r.entity_id, r.timestamp}] =
+          AdvanceCursor(&cursors_, r.entity_id, r.timestamp).ordinal;
+    }
+  }
 
   pool->ParallelFor(chunks, [&](std::size_t c) {
     Chunk& ch = results[c];
@@ -219,10 +248,7 @@ std::vector<Triple> Rdfizer::TransformBatch(
     sink.terms = &ch.terms;
     sink.tags = &ch.tags;
     sink.node_geo = &ch.node_geo;
-    sink.prev_node = &ch.prev_node;
-    sink.known_entities = &ch.known_entities;
-    sink.entity_order = &ch.entity_order;
-    sink.first_node = &ch.first_node;
+    sink.cursors = &ch.cursors;
     ch.triples.reserve((end - begin) * 12);
     for (std::size_t i = begin; i < end; ++i) {
       EmitNode(reports[i], sink, &ch.triples);
@@ -235,44 +261,11 @@ std::vector<Triple> Rdfizer::TransformBatch(
   out.reserve(reports.size() * 12);
   for (Chunk& ch : results) {
     const std::vector<TermId> remap = dict_->MergeBatch(ch.terms);
-
-    // Entities this chunk saw first locally but that were already known
-    // globally: their entity/trajectory typing triples are redundant
-    // re-emissions — drop them, as the serial path emits them once.
-    std::unordered_set<TermId> drop_typing_subjects;
-    for (EntityId e : ch.entity_order) {
-      const TermId entity = RemapTerm(ch.known_entities[e], remap);
-      auto [it, is_new] = known_entities_.try_emplace(e, entity);
-      if (!is_new) {
-        drop_typing_subjects.insert(entity);
-        drop_typing_subjects.insert(dict_->Find(TrajectoryIri(e)));
-      }
-    }
-
     for (const Triple& t : ch.triples) {
-      const Triple g{RemapTerm(t.s, remap), RemapTerm(t.p, remap),
-                     RemapTerm(t.o, remap)};
-      if (!drop_typing_subjects.empty() && g.p == vocab_->p_type &&
-          drop_typing_subjects.count(g.s) > 0) {
-        continue;
-      }
-      out.push_back(g);
+      out.push_back({RemapTerm(t.s, remap), RemapTerm(t.p, remap),
+                     RemapTerm(t.o, remap)});
     }
-
     AbsorbSideTables(ch.tags, ch.node_geo, remap);
-
-    // Stitch sequence links across the chunk boundary: last node of the
-    // previous chunk (or batch) chains to this chunk's first node.
-    if (config_.emit_sequence_links) {
-      for (EntityId e : ch.entity_order) {
-        const TermId first = RemapTerm(ch.first_node[e], remap);
-        auto prev_it = prev_node_.find(e);
-        if (prev_it != prev_node_.end() && prev_it->second != first) {
-          out.push_back({prev_it->second, vocab_->p_next_node, first});
-        }
-        prev_node_[e] = RemapTerm(ch.prev_node[e], remap);
-      }
-    }
   }
   return out;
 }

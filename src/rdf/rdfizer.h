@@ -2,8 +2,10 @@
 #define DATACRON_RDF_RDFIZER_H_
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "geo/bbox.h"
 #include "geo/grid.h"
 #include "rdf/triple_store.h"
@@ -37,6 +39,27 @@ struct NodeGeo {
   bool operator==(const NodeGeo&) const = default;
 };
 
+/// Where one entity's node sequence stands: the timestamp and ordinal of
+/// its last node. The ordinal names the node (PositionNodeIri): the
+/// entity's first node is 0, and it advances whenever a point's timestamp
+/// differs from the last node's, so a point that repeats that timestamp
+/// (a GapStart or TrajectoryEnd after the same report) shares its node.
+struct NodeCursor {
+  TimestampMs ts = 0;
+  std::uint64_t ordinal = 0;
+};
+
+struct NodeKeyHash {
+  std::size_t operator()(const std::pair<EntityId, TimestampMs>& key) const {
+    return MixU64(key.first ^ MixU64(static_cast<std::uint64_t>(key.second)));
+  }
+};
+
+/// (entity, timestamp) -> node ordinal: the index behind
+/// Rdfizer::NodeIdOf.
+using NodeIndex = std::unordered_map<std::pair<EntityId, TimestampMs>,
+                                     std::uint64_t, NodeKeyHash>;
+
 /// The "data transformation" component (paper Section 2): converts
 /// position reports, synopses (critical points) and archival weather into
 /// the common RDF representation, tagging every spatiotemporal resource
@@ -56,20 +79,19 @@ class Rdfizer {
 
   /// Where one transform call reads/writes shared ingest state. The serial
   /// path points this at the members; parallel paths (TransformBatch
-  /// chunks, the sharded engine's per-report outputs) point it at local
+  /// chunks, the sharded engine's shard-epoch arenas) point it at local
   /// tables (with a TermBatch as the term source) so workers never
-  /// contend, then merge deterministically.
+  /// contend, then merge deterministically. Node ids come from the
+  /// cursors alone, so a sink needs no earlier TermId to continue an
+  /// entity's node sequence.
   struct Sink {
     TermSource* terms = nullptr;
     std::unordered_map<TermId, StTag>* tags = nullptr;
     std::unordered_map<TermId, NodeGeo>* node_geo = nullptr;
-    std::unordered_map<EntityId, TermId>* prev_node = nullptr;
-    std::unordered_map<EntityId, TermId>* known_entities = nullptr;
-    /// Batch-only extras (null on the serial path): entities in
-    /// first-occurrence order, and the first node per entity, both needed
-    /// to stitch chunks back together deterministically.
-    std::vector<EntityId>* entity_order = nullptr;
-    std::unordered_map<EntityId, TermId>* first_node = nullptr;
+    /// An entity is typed with its first node, when its cursor is made.
+    std::unordered_map<EntityId, NodeCursor>* cursors = nullptr;
+    /// Member path only.
+    NodeIndex* node_index = nullptr;
   };
 
   Rdfizer(const Config& config, TermDictionary* dict, const Vocab* vocab);
@@ -102,11 +124,12 @@ class Rdfizer {
 
   /// Bulk variant of TransformReport: fans contiguous report chunks across
   /// `pool` workers, each interning into a thread-local TermBatch, then
-  /// merges chunk results in input order. The merged dictionary ids,
-  /// tags()/node_geo() side tables and the triple *set* (entity typing
-  /// emitted once, sequence links stitched across chunk boundaries) are
-  /// identical to calling TransformReport serially — independent of thread
-  /// count and chunking. Falls back to the serial loop when `pool` is null
+  /// merges chunk results in input order. A serial pre-pass fixes every
+  /// report's node ordinal first, so each chunk starts from the cursors
+  /// serial would have and chains its sequence links across chunk
+  /// boundaries itself. The merged dictionary ids, tags()/node_geo() side
+  /// tables and triples are identical to calling TransformReport serially
+  /// — independent of thread count and chunking. Falls back to the serial loop when `pool` is null
   /// or the batch is small.
   std::vector<Triple> TransformBatch(const std::vector<PositionReport>& reports,
                                      ThreadPool* pool);
@@ -137,12 +160,15 @@ class Rdfizer {
     return (t - config_.epoch) / config_.bucket_ms;
   }
 
-  /// The TermId a report's node would get (without transforming).
+  /// The TermId of the node a report transformed through this Rdfizer's
+  /// own tables (TransformReport, TransformCriticalPoint, TransformBatch)
+  /// got, looked up by (entity, timestamp); kInvalidTermId if none did.
   TermId NodeIdOf(const PositionReport& report) const;
 
  private:
   /// Emits the shared node skeleton (type, entity, kinematics, cell,
-  /// bucket, optional sequence link); returns the node TermId.
+  /// bucket, optional sequence link) and advances the entity's cursor;
+  /// returns the node TermId.
   TermId EmitNode(const PositionReport& report, const Sink& sink,
                   std::vector<Triple>* out) const;
 
@@ -155,10 +181,8 @@ class Rdfizer {
   UniformGrid grid_;
   std::unordered_map<TermId, StTag> tags_;
   std::unordered_map<TermId, NodeGeo> node_geo_;
-  /// entity -> previous node (for dc:hasNextNode).
-  std::unordered_map<EntityId, TermId> prev_node_;
-  /// Entities whose entity-level triples were already emitted.
-  std::unordered_map<EntityId, TermId> known_entities_;
+  std::unordered_map<EntityId, NodeCursor> cursors_;
+  NodeIndex node_index_;
 };
 
 }  // namespace datacron

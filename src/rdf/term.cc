@@ -5,6 +5,7 @@
 #include <system_error>
 
 #include "common/strings.h"
+#include "rdf/vocab.h"
 
 namespace datacron {
 
@@ -15,6 +16,7 @@ constexpr TermId kInlinePayloadMask = (TermId{1} << kInlineKindShift) - 1;
 constexpr TermId kInlineInt = 0;
 constexpr TermId kInlineDouble = 1;
 constexpr TermId kInlineDateTime = 2;
+constexpr TermId kInlineNode = 3;
 
 /// int / dateTime payloads are 60-bit two's complement.
 constexpr std::int64_t kInlineIntLimit = std::int64_t{1} << 59;
@@ -27,7 +29,12 @@ constexpr TermId kMantissaMask = (TermId{1} << kMantissaBits) - 1;
 constexpr int kExponentBias = 1 << 10;
 constexpr int kExponentLimit = 1 << 25;  // exponent field width
 
+/// Position-node payload: entity in bits 30-59, ordinal in bits 0-29.
+constexpr int kNodeOrdinalBits = 30;
+constexpr std::uint64_t kNodeFieldLimit = std::uint64_t{1} << kNodeOrdinalBits;
+
 constexpr std::string_view kDateTimePrefix = "dt:";
+constexpr std::string_view kNodePrefix = "node:";
 
 TermId MakeInline(TermId kind, TermId payload) {
   return kInlineTermBit | (kind << kInlineKindShift) | payload;
@@ -65,6 +72,24 @@ bool ParseCanonicalInt(std::string_view text, std::int64_t* value) {
   const std::from_chars_result r = std::from_chars(text.data(), end, *value);
   char buf[32];
   return r.ec == std::errc() && r.ptr == end && RenderInt(*value, buf) == text;
+}
+
+/// Inline id of canonical position-node text `node:<entity>#<ordinal>`;
+/// kInvalidTermId for any other text.
+TermId ParseInlineNode(std::string_view text) {
+  if (!StartsWith(text, kNodePrefix)) return kInvalidTermId;
+  text.remove_prefix(kNodePrefix.size());
+  const std::size_t hash = text.find('#');
+  std::int64_t entity = 0;
+  std::int64_t ordinal = 0;
+  if (hash == std::string_view::npos ||
+      !ParseCanonicalInt(text.substr(0, hash), &entity) ||
+      !ParseCanonicalInt(text.substr(hash + 1), &ordinal) || entity < 0 ||
+      ordinal < 0) {
+    return kInvalidTermId;
+  }
+  return InlineNode(static_cast<std::uint64_t>(entity),
+                    static_cast<std::uint64_t>(ordinal));
 }
 
 /// The double a double payload encodes; false if it over- or underflows.
@@ -148,11 +173,13 @@ std::string_view InlineDoubleText(TermId id, char (&buf)[32]) {
   return EncodeDoubleText(rendered) == id ? rendered : std::string_view{};
 }
 
-/// Inline id of canonical literal `text` of an int, double or dateTime
-/// kind (see TermSource::Intern); kInvalidTermId otherwise.
-TermId InlineLiteral(std::string_view text, TermKind kind) {
+/// Inline id of canonical `text` of kind `kind` (see TermSource::Intern);
+/// kInvalidTermId otherwise.
+TermId InlineText(std::string_view text, TermKind kind) {
   std::int64_t value = 0;
   switch (kind) {
+    case TermKind::kIri:
+      return ParseInlineNode(text);
     case TermKind::kLiteralInt:
       return ParseCanonicalInt(text, &value) ? InlineInt(value)
                                               : kInvalidTermId;
@@ -164,7 +191,6 @@ TermId InlineLiteral(std::string_view text, TermKind kind) {
                  : kInvalidTermId;
     case TermKind::kLiteralDouble:
       return RoundTrips(text) ? EncodeDoubleText(text) : kInvalidTermId;
-    case TermKind::kIri:
     case TermKind::kLiteralString:
       break;
   }
@@ -177,6 +203,13 @@ TermId InlineInt(std::int64_t value) { return InlineSigned(kInlineInt, value); }
 
 TermId InlineDateTime(std::int64_t epoch_ms) {
   return InlineSigned(kInlineDateTime, epoch_ms);
+}
+
+TermId InlineNode(std::uint64_t entity, std::uint64_t ordinal) {
+  if (entity >= kNodeFieldLimit || ordinal >= kNodeFieldLimit) {
+    return kInvalidTermId;
+  }
+  return MakeInline(kInlineNode, entity << kNodeOrdinalBits | ordinal);
 }
 
 TermId InlineDouble(double value) {
@@ -195,6 +228,9 @@ bool InlineTermKind(TermId id, TermKind* kind) {
       return true;
     case kInlineDateTime:
       *kind = TermKind::kLiteralDateTime;
+      return true;
+    case kInlineNode:
+      *kind = TermKind::kIri;
       return true;
     case kInlineDouble:
       if (InlineDoubleText(id, buf).empty()) return false;
@@ -217,6 +253,14 @@ bool InlineTermText(TermId id, TermKind* kind, std::string* text) {
       *text = kDateTimePrefix;
       *text += RenderInt(SignedPayload(id), buf);
       return true;
+    case kInlineNode: {
+      const TermId payload = id & kInlinePayloadMask;
+      *kind = TermKind::kIri;
+      *text = PositionNodeIri(
+          static_cast<std::uint32_t>(payload >> kNodeOrdinalBits),
+          payload & (kNodeFieldLimit - 1));
+      return true;
+    }
     case kInlineDouble: {
       const std::string_view rendered = InlineDoubleText(id, buf);
       if (rendered.empty()) return false;
@@ -249,6 +293,12 @@ TermId TermSource::InternDateTime(std::int64_t epoch_ms) {
                 TermKind::kLiteralDateTime);
 }
 
+TermId TermSource::InternNode(std::uint32_t entity, std::uint64_t ordinal) {
+  const TermId id = InlineNode(entity, ordinal);
+  if (id != kInvalidTermId) return id;
+  return Intern(PositionNodeIri(entity, ordinal));
+}
+
 TermDictionary::TermDictionary() = default;
 
 TermDictionary::Stripe& TermDictionary::StripeOf(const TermKey& key) const {
@@ -259,7 +309,7 @@ TermDictionary::Stripe& TermDictionary::StripeOf(const TermKey& key) const {
 }
 
 TermId TermDictionary::Intern(std::string_view text, TermKind kind) {
-  if (const TermId id = InlineLiteral(text, kind); id != kInvalidTermId) {
+  if (const TermId id = InlineText(text, kind); id != kInvalidTermId) {
     return id;
   }
   const TermKey key{text, kind};
@@ -283,7 +333,7 @@ TermId TermDictionary::Intern(std::string_view text, TermKind kind) {
 }
 
 TermId TermDictionary::Find(std::string_view text, TermKind kind) const {
-  if (const TermId id = InlineLiteral(text, kind); id != kInvalidTermId) {
+  if (const TermId id = InlineText(text, kind); id != kInvalidTermId) {
     return id;
   }
   const TermKey key{text, kind};
@@ -354,7 +404,7 @@ std::vector<TermId> TermDictionary::MergeBatch(const TermBatch& batch) {
 }
 
 TermId TermBatch::Intern(std::string_view text, TermKind kind) {
-  if (const TermId id = InlineLiteral(text, kind); id != kInvalidTermId) {
+  if (const TermId id = InlineText(text, kind); id != kInvalidTermId) {
     return id;
   }
   if (global_ != nullptr) {

@@ -27,19 +27,23 @@ constexpr TermId kInvalidTermId = 0;
 /// rewrites them to global ids before triples reach any store.
 constexpr TermId kLocalTermBit = TermId{1} << 63;
 
-/// Bit marking an *inline* literal id: an int, double or dateTime whose
+/// Bit marking an *inline* id: a typed literal or a position node whose
 /// value is encoded in the id itself (the inline NodeIds of RDF-3X and
 /// Jena TDB2). Inline ids never enter a TermBatch, a TermDictionary or a
 /// cluster dictionary delta; every path computes the same id from the
-/// value alone. Bits 60–61 hold the kind (0 int, 1 double, 2 dateTime; 3
-/// is invalid) and bits 0–59 the payload:
+/// value alone. Bits 60–61 hold the kind (0 int, 1 double, 2 dateTime,
+/// 3 position node) and bits 0–59 the payload:
 ///  - int / dateTime: the value as 60-bit two's complement;
 ///  - double: the canonical decimal of the value's `%.10g` text — sign
 ///    (bit 59), decimal exponent (bits 34–58, biased) and a mantissa of at
 ///    most 10 digits without trailing zeros (bits 0–33) — so two doubles
-///    share an id exactly when they share a text.
+///    share an id exactly when they share a text;
+///  - position node: the entity (bits 30–59) above its node ordinal (bits
+///    0–29), so one entity's nodes are contiguous and in time order in id
+///    order. The text is `node:<entity>#<ordinal>`.
 /// A value is inlined only if decoding its id renders its text; the rest
-/// (NaN, ±inf, DBL_MAX, integers beyond ±2^59) stay dictionary terms.
+/// (NaN, ±inf, DBL_MAX, integers beyond ±2^59, an entity or ordinal of
+/// 2^30 or more) stay dictionary terms with the same text.
 constexpr TermId kInlineTermBit = TermId{1} << 62;
 
 /// True for an id of the inline space (neither batch-local nor a
@@ -60,15 +64,16 @@ enum class TermKind : std::uint8_t {
   kLiteralDateTime,
 };
 
-/// Inline id of a typed literal value; kInvalidTermId when the value does
-/// not fit (see kInlineTermBit).
+/// Inline id of a typed literal value or of position node `ordinal` of
+/// `entity`; kInvalidTermId when the value does not fit (see
+/// kInlineTermBit).
 TermId InlineInt(std::int64_t value);
 TermId InlineDouble(double value);
 TermId InlineDateTime(std::int64_t epoch_ms);
+TermId InlineNode(std::uint64_t entity, std::uint64_t ordinal);
 
 /// Kind and text of a well-formed inline id. False for an id that is not
-/// inline, has kind value 3, or carries a double payload that no value
-/// encodes to.
+/// inline or carries a double payload that no value encodes to.
 bool InlineTermText(TermId id, TermKind* kind, std::string* text);
 
 /// Kind of a well-formed inline id (as InlineTermText) without rendering
@@ -76,18 +81,19 @@ bool InlineTermText(TermId id, TermKind* kind, std::string* text);
 bool InlineTermKind(TermId id, TermKind* kind);
 
 /// Anything that can intern terms: the global TermDictionary on the serial
-/// path, a TermBatch on the parallel ingest path. The typed-literal
-/// helpers try the inline form first and otherwise intern the value's
-/// text.
+/// path, a TermBatch on the parallel ingest path. The typed-literal and
+/// position-node helpers try the inline form first and otherwise intern
+/// the value's text.
 class TermSource {
  public:
   virtual ~TermSource() = default;
 
   /// Returns the id of `text` (of kind `kind`), interning it if new.
-  /// Int, double and dateTime text that is canonical — exactly what
-  /// InternInt, InternDouble or InternDateTime renders for its value —
-  /// yields its inline id, so "12.5" and InternDouble(12.5) share an id
-  /// while "12.50" is a dictionary term.
+  /// Int, double, dateTime and position-node text that is canonical —
+  /// exactly what InternInt, InternDouble, InternDateTime or InternNode
+  /// renders for its value — yields its inline id, so "12.5" and
+  /// InternDouble(12.5) share an id while "12.50" and `node:07#1` are
+  /// dictionary terms.
   virtual TermId Intern(std::string_view text,
                         TermKind kind = TermKind::kIri) = 0;
 
@@ -95,6 +101,8 @@ class TermSource {
   TermId InternInt(std::int64_t value);
   TermId InternDouble(double value);
   TermId InternDateTime(std::int64_t epoch_ms);
+  /// The id of position node `ordinal` of `entity` (PositionNodeIri).
+  TermId InternNode(std::uint32_t entity, std::uint64_t ordinal);
 };
 
 /// Dictionary key: a term is its text *and* its kind, so `<5>`,
@@ -134,8 +142,8 @@ struct TermExport {
 /// kStripes stripes keyed by the key hash, so concurrent Intern/Find
 /// calls only contend when they touch the same stripe (misses additionally
 /// serialize briefly on the id allocator). Ids are dense over dictionary
-/// terms and assigned in arrival order; inline literal ids (kInlineTermBit)
-/// sit above every dictionary id and never consume one. Arrival order
+/// terms and assigned in arrival order; inline ids (kInlineTermBit) sit
+/// above every dictionary id and never consume one. Arrival order
 /// makes the single-threaded path bit-for-bit what it always was;
 /// deterministic ids under parallel ingest come from the two-phase
 /// TermBatch + MergeBatch scheme (see DESIGN.md).
@@ -150,8 +158,8 @@ class TermDictionary : public TermSource {
   /// Deterministic: the same insertion sequence yields the same ids.
   TermId Intern(std::string_view text, TermKind kind = TermKind::kIri) override;
 
-  /// Lookup without interning; kInvalidTermId when absent. A canonical
-  /// inline literal is always present.
+  /// Lookup without interning; kInvalidTermId when absent. Canonical
+  /// inline text is always present.
   TermId Find(std::string_view text, TermKind kind = TermKind::kIri) const;
 
   /// Inverse mapping; decodes inline ids. Returns an error for unknown or
@@ -160,7 +168,7 @@ class TermDictionary : public TermSource {
 
   TermKind Kind(TermId id) const;
 
-  /// Number of dictionary entries; inline literals are not counted.
+  /// Number of dictionary entries; inline ids are not counted.
   std::size_t size() const { return count_.load(std::memory_order_acquire); }
 
   /// Interns every batch-local term of `batch` in local-id order and

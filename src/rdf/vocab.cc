@@ -52,10 +52,9 @@ std::string EntityIri(std::uint32_t entity_id) {
   return StrFormat("ent:%u", entity_id);
 }
 
-std::string PositionNodeIri(std::uint32_t entity_id,
-                            std::int64_t timestamp) {
-  return StrFormat("node:%u/%lld", entity_id,
-                   static_cast<long long>(timestamp));
+std::string PositionNodeIri(std::uint32_t entity_id, std::uint64_t ordinal) {
+  return StrFormat("node:%u#%llu", entity_id,
+                   static_cast<unsigned long long>(ordinal));
 }
 
 std::string TrajectoryIri(std::uint32_t entity_id) {

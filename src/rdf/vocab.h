@@ -63,12 +63,17 @@ struct Vocab {
   TermDictionary* dict;
 };
 
-/// IRI builders for instance resources. Cell/bucket components are embedded
-/// in the IRI so a resource's spatiotemporal placement is recoverable from
-/// its name — the "spatiotemporally aware node naming" trick datAcron's
-/// parallel RDF stores use for locality-preserving partitioning.
+/// IRI builders for instance resources. Placement is not read from names:
+/// every transformed resource's grid cell and time bucket live in the
+/// Rdfizer's StTag side table, which partitioners and the query planner
+/// prune on. Only weather observations embed cell and bucket in the IRI,
+/// as they are keyed by them. A position node is named by its entity and
+/// its per-entity node ordinal (0, 1, 2, ... in time order), not by its
+/// timestamp, which is read through dc:hasTimestamp; the pair is packed
+/// into an inline TermId (see kInlineTermBit), so node IRIs never enter
+/// the dictionary unless the entity or ordinal is 2^30 or more.
 std::string EntityIri(std::uint32_t entity_id);
-std::string PositionNodeIri(std::uint32_t entity_id, std::int64_t timestamp);
+std::string PositionNodeIri(std::uint32_t entity_id, std::uint64_t ordinal);
 std::string TrajectoryIri(std::uint32_t entity_id);
 std::string CellIri(std::int32_t ix, std::int32_t iy);
 std::string BucketIri(std::int64_t bucket_index);

@@ -53,6 +53,12 @@ std::vector<PositionReport> MixedStream() {
   ObservationConfig obs;
   obs.fixed_interval_ms = 15 * kSecond;
   std::vector<PositionReport> ais = ObserveFleet(GenerateAisFleet(fleet), obs);
+  // One vessel's id is 2^30 or more, so its position nodes are dictionary
+  // terms while every other node id is inline: both id spaces mix.
+  const EntityId wide = ais.back().entity_id;
+  for (PositionReport& r : ais) {
+    if (r.entity_id == wide) r.entity_id |= EntityId{1} << 30;
+  }
 
   AdsbGeneratorConfig air;
   air.region = BoundingBox::Of(35.0, 23.0, 39.0, 27.0);
@@ -472,6 +478,7 @@ TEST(ClusterTest, MisbehavingNodeRepliesYieldStatusNotCrash) {
   const auto add_epoch_case = [&](const char* name, EpochResultMsg reply) {
     cases.push_back({name, {{Encode(reply)}}, false});
   };
+  TermKind kind_probe = TermKind::kIri;
   EpochResultMsg bad = valid_reply();
   bad.slots[0].triples_end = 2;
   add_epoch_case("watermark overruns triples", bad);
@@ -482,8 +489,12 @@ TEST(ClusterTest, MisbehavingNodeRepliesYieldStatusNotCrash) {
   bad.tags.push_back({9, StTag{}});
   add_epoch_case("tag term id outside node dictionary", bad);
   bad = valid_reply();
-  bad.triples[0].o = kInlineTermBit | (TermId{3} << 60) | 5;
-  add_epoch_case("inline term id of kind 3", bad);
+  // An inline double whose mantissa keeps a trailing zero (10 × 10^0): no
+  // value encodes to it.
+  bad.triples[0].o = (InlineDouble(1.0) - (TermId{1} << 34)) + 9;
+  ASSERT_TRUE(IsInlineTerm(bad.triples[0].o));
+  ASSERT_FALSE(InlineTermKind(bad.triples[0].o, &kind_probe));
+  add_epoch_case("malformed inline double", bad);
   bad = valid_reply();
   bad.triples[0].o = kLocalTermBit | 1;
   add_epoch_case("batch-local term id on the wire", bad);
@@ -529,16 +540,17 @@ TEST(ClusterTest, MisbehavingNodeRepliesYieldStatusNotCrash) {
   ok = RunScripted(report, two_nodes(valid_flush(), idle_flush), true);
   EXPECT_TRUE(ok.ok()) << ok.ToString();
 
-  // A well-formed inline literal id is the same on every node: the
-  // coordinator accepts it and stores it untranslated.
+  // A well-formed inline id — literal or position node — is the same on
+  // every node: the coordinator accepts it and stores it untranslated.
   EpochResultMsg inline_reply = valid_reply();
+  inline_reply.triples[0].s = InlineNode(entity, 4);
   inline_reply.triples[0].o = InlineDouble(12.5);
   std::vector<Triple> stored;
   ok = RunScripted(report, {{Encode(inline_reply)}}, false, &stored);
   EXPECT_TRUE(ok.ok()) << ok.ToString();
   ASSERT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored[0].s, InlineNode(entity, 4));
   EXPECT_EQ(stored[0].o, InlineDouble(12.5));
-  EXPECT_NE(stored[0].s, stored[0].o);
 }
 
 TEST(ClusterTest, EpochAbsorbRunsTheEpochBatchedGlobalCep) {

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "datacron/engine.h"
 #include "sources/adsb_generator.h"
@@ -438,6 +439,12 @@ std::vector<PositionReport> MixedStream() {
   ObservationConfig obs;
   obs.fixed_interval_ms = 15 * kSecond;
   std::vector<PositionReport> ais = ObserveFleet(GenerateAisFleet(fleet), obs);
+  // One vessel's id is 2^30 or more, so its position nodes are dictionary
+  // terms while every other node id is inline: both id spaces mix.
+  const EntityId wide = ais.back().entity_id;
+  for (PositionReport& r : ais) {
+    if (r.entity_id == wide) r.entity_id |= EntityId{1} << 30;
+  }
 
   AdsbGeneratorConfig air;
   air.region = BoundingBox::Of(35.0, 23.0, 39.0, 27.0);
@@ -551,6 +558,75 @@ TEST(EngineShardTest, ByteIdenticalAcrossShardCounts) {
     SCOPED_TRACE(shards);
     const EngineRun run = RunSharded(stream, shards, 128, &pool);
     ExpectIdentical(serial, run);
+  }
+}
+
+TEST(EngineShardTest, PointsRepeatingATimestampShareANodeOnEveryPath) {
+  // Each vessel reports once, falls silent past the gap threshold and
+  // reports once more. The detector emits TrajectoryStart, then GapStart
+  // with the pre-gap report, for the first report, and GapEnd, then (at
+  // Finish) TrajectoryEnd, for the second: two nodes, one link. One
+  // vessel's id is 2^30 or more, so its nodes are dictionary terms.
+  constexpr EntityId kVessel = 240000001;
+  constexpr EntityId kWide = (EntityId{1} << 30) | 7;
+  std::vector<PositionReport> stream;
+  for (const TimestampMs t : {TimestampMs{1490000000000},
+                              TimestampMs{1490000000000} + 30 * kMinute}) {
+    for (const EntityId e : {kVessel, kWide}) {
+      PositionReport r;
+      r.entity_id = e;
+      r.timestamp = t;
+      r.position = {36.5, t == 1490000000000 ? 24.5 : 24.6, 0};
+      r.speed_mps = 5.0;
+      r.course_deg = 90.0;
+      stream.push_back(r);
+    }
+  }
+  const EngineRun serial = RunSerial(stream);
+  ThreadPool pool(2);
+  for (const std::size_t epoch_size : {1u, 3u}) {
+    SCOPED_TRACE(epoch_size);
+    ExpectIdentical(serial, RunSharded(stream, 4, epoch_size, &pool));
+  }
+
+  DatacronEngine engine(ShardConfig(1, 1024));
+  for (const PositionReport& r : stream) engine.Ingest(r);
+  engine.Finish();
+  const TermDictionary& dict = *engine.dictionary();
+  const Vocab& vocab = engine.vocab();
+  const auto kind = [&](CriticalPointType type) {
+    return dict.Find(CriticalPointTypeName(type), TermKind::kLiteralString);
+  };
+  for (const EntityId e : {kVessel, kWide}) {
+    SCOPED_TRACE(e);
+    const TermId n0 = dict.Find(PositionNodeIri(e, 0));
+    const TermId n1 = dict.Find(PositionNodeIri(e, 1));
+    ASSERT_NE(n0, kInvalidTermId);
+    ASSERT_NE(n1, kInvalidTermId);
+    EXPECT_EQ(IsInlineTerm(n0), e == kVessel);
+    const TermId entity = dict.Find(EntityIri(e));
+    std::set<TermId> nodes;
+    std::set<TermId> kinds0;
+    std::set<TermId> kinds1;
+    std::vector<std::pair<TermId, TermId>> links;
+    for (const Triple& t : engine.triples()) {
+      if (t.p == vocab.p_of_entity && t.o == entity &&
+          dict.Kind(t.s) == TermKind::kIri &&
+          StartsWith(dict.Text(t.s).value(), "node:")) {
+        nodes.insert(t.s);
+      }
+      if (t.p == vocab.p_node_kind && t.s == n0) kinds0.insert(t.o);
+      if (t.p == vocab.p_node_kind && t.s == n1) kinds1.insert(t.o);
+      if (t.p == vocab.p_next_node && (t.s == n0 || t.s == n1)) {
+        links.emplace_back(t.s, t.o);
+      }
+    }
+    EXPECT_EQ(kinds0, (std::set<TermId>{kind(CriticalPointType::kTrajectoryStart),
+                                        kind(CriticalPointType::kGapStart)}));
+    EXPECT_EQ(kinds1, (std::set<TermId>{kind(CriticalPointType::kGapEnd),
+                                        kind(CriticalPointType::kTrajectoryEnd)}));
+    EXPECT_EQ(nodes, (std::set<TermId>{n0, n1}));
+    EXPECT_EQ(links, (std::vector<std::pair<TermId, TermId>>{{n0, n1}}));
   }
 }
 

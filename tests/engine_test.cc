@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -54,6 +56,75 @@ TEST(EngineTest, IngestsFullStreamAndTracksEverything) {
   EXPECT_LT(engine.critical_points(), stream.size() / 2);
   // Transformation produced triples for the critical points.
   EXPECT_GT(engine.triples().size(), engine.critical_points() * 5);
+}
+
+/// Dictionary entries by IRI scheme (`ent`, `cell`, `ep`, ...); every
+/// literal counts under "literal".
+std::map<std::string, std::size_t> DictionaryCensus(
+    const TermDictionary& dict) {
+  std::map<std::string, std::size_t> census;
+  for (TermId id = 1; id <= dict.size(); ++id) {
+    if (dict.Kind(id) != TermKind::kIri) {
+      ++census["literal"];
+      continue;
+    }
+    const std::string text = dict.Text(id).value();
+    ++census[text.substr(0, text.find(':'))];
+  }
+  return census;
+}
+
+TEST(EngineTest, DictionaryIsBoundedByFleetGridAndTime) {
+  // 200 vessels for 4 h through the 4-shard engine, checked after the
+  // first hour and at the end. Position nodes and literals are inline ids,
+  // so the dictionary holds the fleet, the grid cells it visits, time
+  // buckets and episodes; only episodes and buckets grow with time.
+  AisGeneratorConfig fleet;
+  fleet.num_vessels = 200;
+  fleet.duration = 4 * kHour;
+  const auto stream = ObserveFleet(GenerateAisFleet(fleet), {});
+  const auto hour_end =
+      std::find_if(stream.begin(), stream.end(), [&](const PositionReport& r) {
+        return r.timestamp >= fleet.start_time + kHour;
+      });
+  const std::vector<PositionReport> first_hour(stream.begin(), hour_end);
+  const std::vector<PositionReport> rest(hour_end, stream.end());
+  ASSERT_FALSE(first_hour.empty());
+  ASSERT_FALSE(rest.empty());
+
+  DatacronEngine::Config cfg = EngineConfig();
+  cfg.num_shards = 4;
+  DatacronEngine engine(cfg);
+  ThreadPool pool(2);
+  engine.IngestBatch(first_hour, &pool);
+  const std::size_t terms_1h = engine.dictionary()->size();
+  const auto census_1h = DictionaryCensus(*engine.dictionary());
+  engine.IngestBatch(rest, &pool);
+  const std::size_t terms_4h = engine.dictionary()->size();
+  const auto census_4h = DictionaryCensus(*engine.dictionary());
+
+  EXPECT_GT(engine.critical_points(), stream.size() / 10);
+  EXPECT_LT(static_cast<double>(terms_1h) / first_hour.size(), 0.01);
+  EXPECT_LT(static_cast<double>(terms_4h) / stream.size(), 0.01);
+  EXPECT_EQ(census_4h.count("node"), 0u);
+  // Growth with time: episodes and hour buckets.
+  EXPECT_GT(census_4h.at("ep"), census_1h.at("ep"));
+  EXPECT_GT(census_4h.at("bucket"), census_1h.at("bucket"));
+  // Bounded by the grid and the kind vocabularies, reached as the fleet
+  // visits more of the region and meets more point kinds.
+  EXPECT_LE(census_4h.at("cell"),
+            static_cast<std::size_t>(engine.rdfizer()->grid().CellCount()));
+  // String literals: 10 critical-point kinds and 3 episode kinds.
+  EXPECT_LE(census_4h.at("literal"), 10u + 3u);
+  // Everything else is the fleet and the vocabulary, fixed after an hour.
+  for (const auto& [scheme, count] : census_4h) {
+    if (scheme == "ep" || scheme == "bucket" || scheme == "cell" ||
+        scheme == "literal") {
+      continue;
+    }
+    SCOPED_TRACE(scheme);
+    EXPECT_EQ(count, census_1h.count(scheme) ? census_1h.at(scheme) : 0u);
+  }
 }
 
 TEST(EngineTest, StoreIsQueryable) {

@@ -236,5 +236,38 @@ TEST(RdfLinksTest, WeatherLinkResolvesNode) {
   EXPECT_EQ(out[0].p, vocab.p_weather_at);
 }
 
+TEST(RdfLinksTest, LinksResolveTheNodeOfTheirTimestamp) {
+  // Nodes are named by per-entity ordinal; links still find them by
+  // (entity, timestamp), including a timestamp two reports shared.
+  TermDictionary dict;
+  Vocab vocab(&dict);
+  Rdfizer::Config cfg;
+  Rdfizer rdfizer(cfg, &dict, &vocab);
+  for (const TimestampMs t : {1000, 2000, 2000, 3000}) {
+    rdfizer.TransformReport(At(1, t, 36.5, 24.5));
+  }
+  rdfizer.TransformReport(At(2, 3000, 36.505, 24.5));
+  std::vector<Triple> out;
+  EXPECT_EQ(MaterializeAreaLinks({{1, "port", 2000}, {1, "port", 2500}},
+                                 &rdfizer, vocab, &out)
+                .skipped_unknown_node,
+            1u);
+  EXPECT_EQ(MaterializeProximityLinks({{1, 2, 3000, 550}}, &rdfizer, vocab,
+                                      &out)
+                .emitted,
+            1u);
+  WeatherLink wl{1, 1000, rdfizer.grid().CellOf({36.5, 24.5}), cfg.epoch};
+  EXPECT_EQ(MaterializeWeatherLinks({wl}, &rdfizer, vocab, &out).emitted, 1u);
+  std::set<std::pair<TermId, TermId>> subjects;
+  for (const Triple& t : out) {
+    if (t.p != vocab.p_type) subjects.emplace(t.p, t.s);
+  }
+  EXPECT_EQ(subjects, (std::set<std::pair<TermId, TermId>>{
+                          {vocab.p_within_area, InlineNode(1, 1)},
+                          {vocab.p_near_entity, InlineNode(1, 2)},
+                          {vocab.p_near_entity, InlineNode(2, 0)},
+                          {vocab.p_weather_at, InlineNode(1, 0)}}));
+}
+
 }  // namespace
 }  // namespace datacron

@@ -57,6 +57,26 @@ TEST(NTriplesTest, RoundTripPreservesTriples) {
   }
 }
 
+TEST(NTriplesTest, InlineNodeIrisRoundTrip) {
+  TermDictionary dict;
+  const Triple t{dict.InternNode(7, 2), dict.Intern("dc:hasNextNode"),
+                 dict.InternNode(7, 3)};
+  const Triple wide{dict.InternNode(1u << 31, 0), dict.Intern("rdf:type"),
+                    dict.Intern("dc:PositionNode")};
+  const std::string doc = SerializeNTriples({t, wide}, dict);
+  EXPECT_EQ(doc.substr(0, doc.find('\n')),
+            "<node:7#2> <dc:hasNextNode> <node:7#3> .");
+
+  TermDictionary dict2;
+  std::vector<Triple> parsed;
+  ASSERT_TRUE(ParseNTriples(doc, &dict2, &parsed).ok());
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[0].s, InlineNode(7, 2));
+  EXPECT_EQ(parsed[0].o, InlineNode(7, 3));
+  EXPECT_EQ(dict2.Text(parsed[1].s).value(), "node:2147483648#0");
+  EXPECT_EQ(SerializeNTriples(parsed, dict2), doc);
+}
+
 TEST(NTriplesTest, RoundTripWholeFleetStore) {
   TermDictionary dict;
   Vocab vocab(&dict);

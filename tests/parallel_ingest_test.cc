@@ -170,6 +170,60 @@ TEST_P(TransformBatchTest, MatchesSerialAcrossThreadCounts) {
   EXPECT_EQ(a.Predicates(), b.Predicates());
 }
 
+TEST_P(TransformBatchTest, RepeatedTimestampsAndWideEntitiesMatchSerial) {
+  // Every fifth report arrives twice (same entity and timestamp, so it
+  // shares the node) and one vessel's id is 2^30 or more (its nodes are
+  // dictionary terms); chunk boundaries cut through both.
+  std::vector<PositionReport> reports;
+  const auto fleet = FleetReports(20, 30 * kMinute);
+  const EntityId wide = fleet.back().entity_id;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    PositionReport r = fleet[i];
+    if (r.entity_id == wide) r.entity_id |= EntityId{1} << 30;
+    reports.push_back(r);
+    if (i % 5 == 0) {
+      r.speed_mps += 1.0;
+      reports.push_back(r);
+    }
+  }
+
+  TermDictionary serial_dict;
+  Vocab serial_vocab(&serial_dict);
+  Rdfizer serial(Rdfizer::Config{}, &serial_dict, &serial_vocab);
+  std::vector<Triple> serial_triples;
+  for (const auto& r : reports) {
+    const auto ts = serial.TransformReport(r);
+    serial_triples.insert(serial_triples.end(), ts.begin(), ts.end());
+  }
+
+  ThreadPool pool(GetParam());
+  TermDictionary par_dict;
+  Vocab par_vocab(&par_dict);
+  Rdfizer parallel(Rdfizer::Config{}, &par_dict, &par_vocab);
+  const std::size_t half = reports.size() / 2;
+  const std::vector<PositionReport> first(reports.begin(),
+                                          reports.begin() + half);
+  const std::vector<PositionReport> second(reports.begin() + half,
+                                           reports.end());
+  auto par_triples = parallel.TransformBatch(first, &pool);
+  const auto more = parallel.TransformBatch(second, &pool);
+  par_triples.insert(par_triples.end(), more.begin(), more.end());
+
+  ExpectSameDictionary(serial_dict, par_dict);
+  EXPECT_EQ(serial_triples, par_triples);
+  EXPECT_EQ(serial.tags(), parallel.tags());
+  EXPECT_EQ(serial.node_geo(), parallel.node_geo());
+  for (const auto& r : reports) {
+    ASSERT_EQ(serial.NodeIdOf(r), parallel.NodeIdOf(r));
+  }
+  // The wide vessel's nodes are the only node IRIs in the dictionary.
+  std::size_t wide_nodes = 0;
+  for (TermId id = 1; id <= par_dict.size(); ++id) {
+    if (StartsWith(par_dict.Text(id).value(), "node:")) ++wide_nodes;
+  }
+  EXPECT_GT(wide_nodes, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, TransformBatchTest,
                          ::testing::Values(1, 2, 4, 8));
 

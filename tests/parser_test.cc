@@ -104,6 +104,23 @@ TEST(ParserTest, TypedLiteralObject) {
   EXPECT_EQ(dict.Kind(lit), TermKind::kLiteralString);
 }
 
+TEST(ParserTest, NodeIriConstantIsItsInlineId) {
+  TermDictionary dict;
+  auto parsed = ParseQuery(
+      "SELECT ?b WHERE { <node:7#2> <dc:hasNextNode> ?b . }", &dict);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermId node = parsed.value().query.bgp[0].s.term;
+  EXPECT_EQ(node, InlineNode(7, 2));
+  EXPECT_EQ(dict.Text(node).value(), "node:7#2");
+  // Non-canonical spellings stay their own dictionary terms.
+  auto padded = ParseQuery(
+      "SELECT ?b WHERE { <node:07#2> <dc:hasNextNode> ?b . }", &dict);
+  ASSERT_TRUE(padded.ok()) << padded.status().ToString();
+  EXPECT_NE(padded.value().query.bgp[0].s.term, node);
+  EXPECT_EQ(dict.Text(padded.value().query.bgp[0].s.term).value(),
+            "node:07#2");
+}
+
 TEST(ParserTest, Errors) {
   TermDictionary dict;
   EXPECT_FALSE(ParseQuery("", &dict).ok());

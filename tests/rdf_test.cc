@@ -263,10 +263,6 @@ TEST(InlineTermTest, OnlyCanonicalTextInlines) {
 
 TEST(InlineTermTest, MalformedInlineIdsAreNotFound) {
   TermDictionary dict;
-  const TermId kind3 = kInlineTermBit | (TermId{3} << 60) | 5;
-  ASSERT_TRUE(IsInlineTerm(kind3));
-  EXPECT_EQ(dict.Text(kind3).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(dict.Kind(kind3), TermKind::kIri);
   // A double payload no value encodes to: a mantissa with a trailing
   // zero digit (10 × 10^0 is spelled 1 × 10^1).
   const TermId twelve_point_five = dict.InternDouble(12.5);
@@ -279,8 +275,7 @@ TEST(InlineTermTest, MalformedInlineIdsAreNotFound) {
   std::string text;
   EXPECT_FALSE(InlineTermText(zero_padded, &kind, &text));
   EXPECT_FALSE(InlineTermKind(zero_padded, &kind));
-  EXPECT_FALSE(InlineTermKind(kind3, &kind));
-  EXPECT_FALSE(dict.Text(zero_padded).ok());
+  EXPECT_EQ(dict.Text(zero_padded).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(dict.Kind(zero_padded), TermKind::kIri);
   EXPECT_TRUE(InlineTermText(twelve_point_five, &kind, &text));
   EXPECT_EQ(text, "12.5");
@@ -309,6 +304,73 @@ TEST(InlineTermTest, InlineLiteralsNeverEnterADictionary) {
   EXPECT_EQ(dict.size(), 0u);
   EXPECT_EQ(batch.local_size(), 0u);
   EXPECT_EQ(unbacked.local_size(), 0u);
+}
+
+TEST(InlineNodeTest, RoundTripsAtTheFieldBounds) {
+  constexpr std::uint64_t kMax = (std::uint64_t{1} << 30) - 1;
+  TermDictionary dict;
+  TermBatch batch(&dict);
+  const std::pair<std::uint32_t, std::uint64_t> nodes[] = {
+      {0, 0}, {0, kMax}, {static_cast<std::uint32_t>(kMax), 0},
+      {static_cast<std::uint32_t>(kMax), kMax}, {7, 2}};
+  for (const auto& [entity, ordinal] : nodes) {
+    SCOPED_TRACE(PositionNodeIri(entity, ordinal));
+    const TermId id = InlineNode(entity, ordinal);
+    ASSERT_NE(id, kInvalidTermId);
+    EXPECT_TRUE(IsInlineTerm(id));
+    EXPECT_EQ(dict.Text(id).value(), PositionNodeIri(entity, ordinal));
+    EXPECT_EQ(dict.Kind(id), TermKind::kIri);
+    TermKind kind = TermKind::kLiteralInt;
+    EXPECT_TRUE(InlineTermKind(id, &kind));
+    EXPECT_EQ(kind, TermKind::kIri);
+    EXPECT_EQ(dict.Intern(PositionNodeIri(entity, ordinal)), id);
+    EXPECT_EQ(dict.Find(PositionNodeIri(entity, ordinal)), id);
+    EXPECT_EQ(dict.InternNode(entity, ordinal), id);
+    EXPECT_EQ(batch.Intern(PositionNodeIri(entity, ordinal)), id);
+    EXPECT_EQ(batch.InternNode(entity, ordinal), id);
+  }
+  EXPECT_EQ(dict.Text(InlineNode(7, 2)).value(), "node:7#2");
+  EXPECT_EQ(dict.size(), 0u);
+  EXPECT_EQ(batch.local_size(), 0u);
+  // Entity-major: one entity's nodes are contiguous and in ordinal order.
+  EXPECT_LT(InlineNode(1, 0), InlineNode(1, 1));
+  EXPECT_LT(InlineNode(1, kMax), InlineNode(2, 0));
+  // Inline node ids sit above every literal kind.
+  EXPECT_GT(InlineNode(0, 0), InlineDateTime(-1));
+}
+
+TEST(InlineNodeTest, NonCanonicalTextStaysADictionaryTerm) {
+  TermDictionary dict;
+  const char* kept[] = {"node:07#1",         "node:1#",
+                        "node:1#01",         "node:#1",
+                        "node:1073741824#0", "node:1#1073741824",
+                        "node:-1#2",         "node:1#+2",
+                        "node:1#2#3",        "node:1/1000",
+                        "node:1#2 ",         "Node:1#2"};
+  for (const char* text : kept) {
+    SCOPED_TRACE(text);
+    const TermId id = dict.Intern(text);
+    EXPECT_FALSE(IsInlineTerm(id));
+    EXPECT_EQ(dict.Text(id).value(), text);
+    EXPECT_EQ(dict.Find(text), id);
+    EXPECT_EQ(dict.Kind(id), TermKind::kIri);
+  }
+  EXPECT_EQ(dict.size(), std::size(kept));
+  // Canonical text of another kind is not a node.
+  EXPECT_FALSE(IsInlineTerm(dict.Intern("node:1#2", TermKind::kLiteralString)));
+
+  // An entity or ordinal of 2^30 or more falls back to the dictionary,
+  // under the same text.
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 30;
+  EXPECT_EQ(InlineNode(kLimit, 0), kInvalidTermId);
+  EXPECT_EQ(InlineNode(0, kLimit), kInvalidTermId);
+  const TermId wide = dict.InternNode(static_cast<std::uint32_t>(kLimit), 5);
+  EXPECT_FALSE(IsInlineTerm(wide));
+  EXPECT_EQ(dict.Text(wide).value(), "node:1073741824#5");
+  EXPECT_EQ(dict.Intern("node:1073741824#5"), wide);
+  const TermId long_run = dict.InternNode(7, kLimit);
+  EXPECT_FALSE(IsInlineTerm(long_run));
+  EXPECT_EQ(dict.Find("node:7#1073741824"), long_run);
 }
 
 TEST(TermDictionaryTest, KindsDoNotCollide) {
@@ -521,13 +583,88 @@ TEST_F(RdfizerTest, EntityTriplesEmittedOnce) {
 TEST_F(RdfizerTest, SequenceLinksChainNodes) {
   rdfizer_.TransformReport(Report(1, 1000));
   const auto second = rdfizer_.TransformReport(Report(1, 2000));
-  const TermId n1 = dict_.Find(PositionNodeIri(1, 1000));
-  const TermId n2 = dict_.Find(PositionNodeIri(1, 2000));
+  const TermId n1 = dict_.Find(PositionNodeIri(1, 0));
+  const TermId n2 = dict_.Find(PositionNodeIri(1, 1));
   bool linked = false;
   for (const Triple& t : second) {
     if (t.s == n1 && t.p == vocab_.p_next_node && t.o == n2) linked = true;
   }
   EXPECT_TRUE(linked);
+}
+
+TEST_F(RdfizerTest, EqualTimestampsShareOneNode) {
+  const std::size_t before = dict_.size();
+  std::vector<Triple> triples;
+  PositionReport moved = Report(1, 1000);
+  moved.position.lat_deg = 36.6;
+  for (const PositionReport& r :
+       {Report(1, 1000), moved, Report(1, 2000), Report(1, 2000)}) {
+    const auto ts = rdfizer_.TransformReport(r);
+    triples.insert(triples.end(), ts.begin(), ts.end());
+  }
+  EXPECT_EQ(rdfizer_.NodeIdOf(Report(1, 1000)), InlineNode(1, 0));
+  EXPECT_EQ(rdfizer_.NodeIdOf(Report(1, 2000)), InlineNode(1, 1));
+  EXPECT_EQ(rdfizer_.NodeIdOf(Report(1, 3000)), kInvalidTermId);
+  EXPECT_EQ(rdfizer_.NodeIdOf(Report(2, 1000)), kInvalidTermId);
+  std::vector<Triple> links;
+  for (const Triple& t : triples) {
+    if (t.p == vocab_.p_next_node) links.push_back(t);
+  }
+  ASSERT_EQ(links.size(), 1u);
+  EXPECT_EQ(links[0].s, InlineNode(1, 0));
+  EXPECT_EQ(links[0].o, InlineNode(1, 1));
+  // The shared node carries the later report's geometry.
+  EXPECT_DOUBLE_EQ(rdfizer_.node_geo().at(InlineNode(1, 0)).lat_deg, 36.6);
+  // No node entered the dictionary: only the entity and trajectory IRIs,
+  // one cell and one bucket did.
+  EXPECT_EQ(dict_.size() - before, 4u);
+}
+
+TEST_F(RdfizerTest, GapStartReusesThePreGapNode) {
+  // The detector emits GapStart with the report before the silence, which
+  // was already transformed as the entity's last node.
+  CriticalPoint start{Report(1, 1000), CriticalPointType::kTrajectoryStart};
+  CriticalPoint gap_start{Report(1, 1000), CriticalPointType::kGapStart};
+  CriticalPoint gap_end{Report(1, 1000 + kHour), CriticalPointType::kGapEnd};
+  std::vector<Triple> triples;
+  for (const CriticalPoint& cp : {start, gap_start, gap_end}) {
+    const auto ts = rdfizer_.TransformCriticalPoint(cp);
+    triples.insert(triples.end(), ts.begin(), ts.end());
+  }
+  std::set<TermId> kinds_of_first;
+  std::size_t links = 0;
+  for (const Triple& t : triples) {
+    if (t.p == vocab_.p_node_kind && t.s == InlineNode(1, 0)) {
+      kinds_of_first.insert(t.o);
+    }
+    if (t.p == vocab_.p_next_node) {
+      ++links;
+      EXPECT_EQ(t.s, InlineNode(1, 0));
+      EXPECT_EQ(t.o, InlineNode(1, 1));
+    }
+  }
+  EXPECT_EQ(kinds_of_first.size(), 2u);
+  EXPECT_EQ(links, 1u);
+  EXPECT_EQ(rdfizer_.NodeIdOf(gap_end.report), InlineNode(1, 1));
+}
+
+TEST_F(RdfizerTest, WideEntityNodesFallBackToTheDictionary) {
+  constexpr EntityId kWide = (EntityId{1} << 30) + 9;
+  const std::size_t before = dict_.size();
+  rdfizer_.TransformReport(Report(kWide, 1000));
+  const auto second = rdfizer_.TransformReport(Report(kWide, 2000));
+  const TermId n0 = rdfizer_.NodeIdOf(Report(kWide, 1000));
+  const TermId n1 = rdfizer_.NodeIdOf(Report(kWide, 2000));
+  EXPECT_FALSE(IsInlineTerm(n0));
+  EXPECT_EQ(dict_.Text(n0).value(), PositionNodeIri(kWide, 0));
+  EXPECT_EQ(dict_.Text(n1).value(), PositionNodeIri(kWide, 1));
+  bool linked = false;
+  for (const Triple& t : second) {
+    if (t.s == n0 && t.p == vocab_.p_next_node && t.o == n1) linked = true;
+  }
+  EXPECT_TRUE(linked);
+  // Two nodes, plus the entity and trajectory IRIs, cell and bucket.
+  EXPECT_EQ(dict_.size() - before, 6u);
 }
 
 TEST_F(RdfizerTest, TagsRecordCellAndBucket) {
