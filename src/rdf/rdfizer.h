@@ -49,6 +49,7 @@ struct NodeCursor {
   std::uint64_t ordinal = 0;
 };
 
+/// Hash of an (entity, timestamp) key.
 struct NodeKeyHash {
   std::size_t operator()(const std::pair<EntityId, TimestampMs>& key) const {
     return MixU64(key.first ^ MixU64(static_cast<std::uint64_t>(key.second)));
