@@ -7,11 +7,13 @@
 // with a query over the produced store.
 //
 // E10b sweeps the sharded runtime (IngestBatch) over 1/2/4/8 shards with
-// a matching thread pool, enforcing the determinism contract — events,
-// triples and episodes must be byte-identical to the serial Ingest loop
-// at every shard count (nonzero exit on violation) — and prints the
-// merged per-operator metrics table. Emits BENCH_engine.json; `--quick`
-// shrinks the fleet for CI smoke runs (still ≥ 100 ms per sweep row).
+// a matching thread pool, plus 4 shards on a 2-thread pool (shards
+// outnumber workers, as on a live feed), enforcing the determinism
+// contract — events, triples and episodes must be byte-identical to the
+// serial Ingest loop at every shard count (nonzero exit on violation) —
+// and prints the merged per-operator metrics table. Emits
+// BENCH_engine.json; `--quick` shrinks the fleet for CI smoke runs (still
+// ≥ 100 ms per sweep row).
 //
 // E10c repeats the sweep on the cluster runtime: 1/2/4 ClusterNodes over
 // the in-process loopback transport behind a ClusterEngine coordinator,
@@ -104,6 +106,7 @@ struct BenchRecord {
   // serial row has epochs == 0 and omits them from the table).
   std::uint64_t epochs = 0;
   std::uint64_t mailbox_msgs = 0;
+  std::uint64_t driver_drains = 0;  // shard-epochs the driver drained
   double reports_per_epoch = 0.0;
   double terms_per_merge = 0.0;
   std::size_t dict_terms = 0;  // dictionary entries after the run
@@ -127,12 +130,14 @@ void WriteJson(const char* path, std::size_t reports) {
                  "\"wall_s_iqr\": %.4f, \"reports_per_s\": %.0f, "
                  "\"speedup\": %.3f, \"speedup_iqr\": %.3f, "
                  "\"identical\": %s, \"epochs\": %llu, "
-                 "\"mailbox_msgs\": %llu, \"reports_per_epoch\": %.1f, "
+                 "\"mailbox_msgs\": %llu, \"driver_drains\": %llu, "
+                 "\"reports_per_epoch\": %.1f, "
                  "\"terms_per_merge\": %.1f, \"dict_terms\": %zu}%s\n",
                  r.shards, r.threads, r.wall_s, r.wall_s_iqr, r.reports_per_s,
                  r.speedup, r.speedup_iqr, r.identical ? "true" : "false",
                  static_cast<unsigned long long>(r.epochs),
                  static_cast<unsigned long long>(r.mailbox_msgs),
+                 static_cast<unsigned long long>(r.driver_drains),
                  r.reports_per_epoch, r.terms_per_merge, r.dict_terms,
                  i + 1 < g_records.size() ? "," : "");
   }
@@ -566,25 +571,32 @@ int Run(bool quick, const char* trace_out) {
   // --- E10b/E10c: the interleaved sweep. -------------------------------
   // Each repetition runs every row once: the serial loop, the same loop
   // with spans recording (the tracing overhead), the sharded engine at
-  // 1/2/4/8 shards and the loopback cluster at 1/2/4 nodes. A row's
+  // 1/2/4/8 shards (one pool thread per shard, and 4 shards on 2 threads)
+  // and the loopback cluster at 1/2/4 nodes. A row's
   // speedup in a repetition is that repetition's serial wall time over
   // the row's, so host noise lands on both alike. Every run is checked
   // against the serial outputs.
-  const std::size_t shard_counts[] = {1, 2, 4, 8};
+  struct ShardRow {
+    std::size_t shards;
+    std::size_t threads;
+  };
+  const ShardRow shard_rows[] = {{1, 1}, {2, 2}, {4, 4}, {4, 2}, {8, 8}};
   const std::size_t node_counts[] = {1, 2, 4};
   std::vector<double> serial_walls;
   std::vector<double> trace_overheads;
-  std::vector<std::vector<double>> shard_walls(std::size(shard_counts));
-  std::vector<std::vector<double>> shard_speedups(std::size(shard_counts));
+  std::vector<std::vector<double>> shard_walls(std::size(shard_rows));
+  std::vector<std::vector<double>> shard_speedups(std::size(shard_rows));
   std::vector<std::vector<double>> node_walls(std::size(node_counts));
   std::vector<std::vector<double>> node_speedups(std::size(node_counts));
-  std::vector<BenchRecord> shard_records(std::size(shard_counts));
+  std::vector<BenchRecord> shard_records(std::size(shard_rows));
   std::vector<ClusterRecord> node_records(std::size(node_counts));
   bool ok = true;
   obs::Counter* epochs_ctr =
       obs::MetricsRegistry::Global().counter("shard.epochs");
   obs::Counter* mbox_ctr =
       obs::MetricsRegistry::Global().counter("shard.mailbox_enqueues");
+  obs::Counter* driver_drains_ctr =
+      obs::MetricsRegistry::Global().counter("shard.driver_drains");
   obs::Counter* merge_terms_ctr =
       obs::MetricsRegistry::Global().counter("engine.merge_terms");
   for (int rep = 0; rep < kReps; ++rep) {
@@ -596,12 +608,13 @@ int Run(bool quick, const char* trace_out) {
     obs::TraceCollector::Discard();
     trace_overheads.push_back(100.0 * (traced_s - serial_s) / serial_s);
 
-    for (std::size_t i = 0; i < std::size(shard_counts); ++i) {
-      const std::size_t shards = shard_counts[i];
+    for (std::size_t i = 0; i < std::size(shard_rows); ++i) {
+      const std::size_t shards = shard_rows[i].shards;
       DatacronEngine sharded(EngineConfig(shards));
-      ThreadPool pool(shards);
+      ThreadPool pool(shard_rows[i].threads);
       const std::uint64_t epochs0 = epochs_ctr->Value();
       const std::uint64_t mbox0 = mbox_ctr->Value();
+      const std::uint64_t helped0 = driver_drains_ctr->Value();
       const std::uint64_t terms0 = merge_terms_ctr->Value();
       Stopwatch timer;
       std::vector<Event> events = sharded.IngestBatch(stream, &pool);
@@ -614,8 +627,8 @@ int Run(bool quick, const char* trace_out) {
       if (Snapshot(sharded, std::move(events)) != serial) {
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION: sharded run differs from serial "
-                     "at %zu shards\n",
-                     shards);
+                     "at %zu shards on %zu threads\n",
+                     shards, pool.num_threads());
         rec.identical = false;
         ok = false;
       }
@@ -628,6 +641,7 @@ int Run(bool quick, const char* trace_out) {
       rec.threads = static_cast<int>(pool.num_threads());
       rec.epochs = epochs_ctr->Value() - epochs0;
       rec.mailbox_msgs = mbox_ctr->Value() - mbox0;
+      rec.driver_drains = driver_drains_ctr->Value() - helped0;
       const std::uint64_t merge_terms = merge_terms_ctr->Value() - terms0;
       rec.reports_per_epoch =
           rec.epochs > 0 ? static_cast<double>(stream.size()) / rec.epochs
@@ -682,14 +696,16 @@ int Run(bool quick, const char* trace_out) {
               "serial loop at every shard count; medians of %d interleaved "
               "repetitions, IQR in brackets)\n",
               kReps);
-  std::printf("%8s %8s %18s %14s %16s %10s %8s %9s %11s %11s\n", "shards",
-              "threads", "wall_s", "reports_per_s", "speedup", "identical",
-              "epochs", "rpt/epoch", "terms/merge", "mbox_msgs");
-  std::printf("%8s %8d %9.3f [%6.3f] %14.0f %16s %10s %8s %9s %11s %11s\n",
-              "serial", 0, serial_wall.median, serial_wall.iqr,
-              stream.size() / serial_wall.median, "1.0x", "-", "-", "-", "-",
-              "-");
-  for (std::size_t i = 0; i < std::size(shard_counts); ++i) {
+  std::printf("%8s %8s %18s %14s %16s %10s %8s %9s %11s %11s %11s\n",
+              "shards", "threads", "wall_s", "reports_per_s", "speedup",
+              "identical", "epochs", "rpt/epoch", "terms/merge", "mbox_msgs",
+              "drv_drains");
+  std::printf(
+      "%8s %8d %9.3f [%6.3f] %14.0f %16s %10s %8s %9s %11s %11s %11s\n",
+      "serial", 0, serial_wall.median, serial_wall.iqr,
+      stream.size() / serial_wall.median, "1.0x", "-", "-", "-", "-", "-",
+      "-");
+  for (std::size_t i = 0; i < std::size(shard_rows); ++i) {
     BenchRecord& rec = shard_records[i];
     const Spread wall = SpreadOf(shard_walls[i]);
     const Spread speedup = SpreadOf(shard_speedups[i]);
@@ -700,13 +716,14 @@ int Run(bool quick, const char* trace_out) {
     rec.speedup_iqr = speedup.iqr;
     g_records.push_back(rec);
     std::printf("%8d %8d %9.3f [%6.3f] %14.0f %8.2fx [%5.2f] %10s %8llu "
-                "%9.1f %11.1f %11llu\n",
+                "%9.1f %11.1f %11llu %11llu\n",
                 rec.shards, rec.threads, rec.wall_s, rec.wall_s_iqr,
                 rec.reports_per_s, rec.speedup, rec.speedup_iqr,
                 rec.identical ? "yes" : "NO",
                 static_cast<unsigned long long>(rec.epochs),
                 rec.reports_per_epoch, rec.terms_per_merge,
-                static_cast<unsigned long long>(rec.mailbox_msgs));
+                static_cast<unsigned long long>(rec.mailbox_msgs),
+                static_cast<unsigned long long>(rec.driver_drains));
   }
   std::printf("\n  tracing overhead: %+.2f%% [IQR %.2f] (traced vs untraced "
               "serial loop, same repetition)\n",

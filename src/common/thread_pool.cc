@@ -109,13 +109,9 @@ void ThreadPool::ParallelFor(std::size_t n,
   // safe: a worker whose chunks queue behind it executes them itself
   // instead of blocking on a future forever. Stolen tasks may belong to
   // other submitters; running them here only speeds the pool up.
-  while (barrier->remaining.load(std::memory_order_acquire) > 0) {
-    if (TryRunOneTask()) continue;
-    std::unique_lock<std::mutex> lock(barrier->mu);
-    barrier->done.wait(lock, [&] {
-      return barrier->remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
+  HelpUntil(barrier->mu, barrier->done, [&] {
+    return barrier->remaining.load(std::memory_order_acquire) == 0;
+  });
   if (barrier->first_error) std::rethrow_exception(barrier->first_error);
 }
 

@@ -23,8 +23,9 @@ namespace datacron {
 ///
 /// ParallelFor is re-entrant: a task running on a pool worker may itself
 /// call ParallelFor (the ingest path nests bucket-level and sort-level
-/// parallelism). The calling thread help-runs queued tasks while it waits,
-/// so nested calls cannot deadlock even on a single-worker pool.
+/// parallelism). The calling thread help-runs queued tasks while it waits
+/// (HelpUntil), so nested calls cannot deadlock even on a single-worker
+/// pool.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -68,6 +69,26 @@ class ThreadPool {
   /// completion and the first exception is rethrown to the caller.
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t)>& fn);
+
+  /// Runs queued tasks on the calling thread until `done()` holds; blocks
+  /// on `cv` only while the queue is empty, and tries again after every
+  /// wakeup. `done()` runs with `mu` held; whoever makes it true must
+  /// notify `cv` after changing that state under `mu`, or notify while
+  /// holding `mu`, so the wakeup cannot be lost. The one help-while-wait
+  /// loop: ParallelFor's join and the sharded runtime's epoch barrier both
+  /// wait here, so a waiter on a pool worker runs the tasks it waits for
+  /// instead of deadlocking behind them. The tasks run here may belong to
+  /// any submitter, so no pool task may block until a waiter progresses.
+  template <typename Pred>
+  void HelpUntil(std::mutex& mu, std::condition_variable& cv, Pred&& done) {
+    std::unique_lock<std::mutex> lock(mu);
+    while (!done()) {
+      lock.unlock();
+      const bool ran = TryRunOneTask();
+      lock.lock();
+      if (!ran && !done()) cv.wait(lock);
+    }
+  }
 
  private:
   struct QueuedTask {

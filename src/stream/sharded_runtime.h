@@ -10,6 +10,7 @@
 #include <exception>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -58,8 +59,10 @@ class ShardedRuntime {
   ///
   /// A null pool or a single shard runs the keyed stage inline, on the
   /// calling thread in input order, so a keyed stage interning into a
-  /// shared dictionary keeps serial first-occurrence ids. An exception
-  /// from either stage propagates once every drain task has joined.
+  /// shared dictionary keeps serial first-occurrence ids. With a pool the
+  /// calling thread also runs keyed stages while it waits at a barrier.
+  /// An exception from either stage propagates once every drain task has
+  /// joined.
   template <typename KeyFn, typename KeyedFn, typename GlobalFn>
   void Run(std::span<const In> input, ThreadPool* pool, KeyFn&& key,
            KeyedFn&& keyed, GlobalFn&& global) {
@@ -114,9 +117,14 @@ class ShardedRuntime {
     KeyedFn& keyed;
   };
 
-  /// One FIFO mailbox per shard, drained by at most one transient pool
-  /// task at a time. A task exits when its mailbox is empty, so none
-  /// blocks on input and any number of shards can share any pool size.
+  /// One FIFO mailbox per shard, drained by at most one pool task chain
+  /// at a time. A drain task runs one shard-epoch and, while the mailbox
+  /// holds more, re-queues itself behind the other shards' older epochs,
+  /// so the pool works epoch-major and no task blocks on input: any number
+  /// of shards can share any pool size. The driver helps while it waits:
+  /// Await and Quiesce run queued pool tasks (ThreadPool::HelpUntil), so
+  /// the driver is one more drainer and IngestBatch called from inside a
+  /// pool task cannot deadlock, even on a one-worker pool.
   template <typename KeyedFn>
   class MailboxExecutor {
    public:
@@ -127,8 +135,11 @@ class ShardedRuntime {
           watermarks_(num_shards),
           pool_(pool),
           keyed_(keyed),
+          driver_(std::this_thread::get_id()),
           enqueue_counter_(obs::MetricsRegistry::Global().counter(
-              "shard.mailbox_enqueues")) {}
+              "shard.mailbox_enqueues")),
+          driver_drain_counter_(obs::MetricsRegistry::Global().counter(
+              "shard.driver_drains")) {}
 
     /// Every shard receives every epoch (possibly with an empty index
     /// list) so its watermark advances: one mailbox message per shard per
@@ -147,26 +158,31 @@ class ShardedRuntime {
       return watermarks_.AllPassed(e.id);
     }
 
+    /// Runs queued drain tasks (and any other pool work) until every shard
+    /// has passed `e` or a keyed stage failed.
     Status Await(Epoch& e) {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return error_ || watermarks_.AllPassed(e.id); });
+      pool_->HelpUntil(mu_, cv_,
+                       [&] { return error_ || watermarks_.AllPassed(e.id); });
+      std::lock_guard<std::mutex> lk(mu_);
       if (error_) std::rethrow_exception(error_);
       return Status::OK();
     }
 
     /// Epochs still queued pass through unprocessed (the driver quiesces
-    /// after the last retire or on a failure); joins every drain task.
+    /// after the last retire or on a failure); helps until every drain
+    /// chain has ended.
     void Quiesce() {
-      std::unique_lock<std::mutex> lk(mu_);
       stopped_ = true;
-      cv_.wait(lk, [this] { return active_drains_ == 0; });
+      pool_->HelpUntil(mu_, cv_, [this] { return active_drains_ == 0; });
     }
 
    private:
     struct Mailbox {
       std::mutex mu;
       std::deque<Epoch*> epochs;
-      /// True while a pool task owns this mailbox; guarantees FIFO drain.
+      /// True while a drain chain owns this mailbox, from the Post that
+      /// starts it until a task finds the mailbox empty; re-queues keep it
+      /// set, which guarantees one drainer and FIFO order.
       bool draining = false;
     };
 
@@ -183,47 +199,58 @@ class ShardedRuntime {
         std::lock_guard<std::mutex> lk(mu_);
         ++active_drains_;
       }
+      Schedule(shard);
+    }
+
+    void Schedule(std::size_t shard) {
       // The future is discarded: Drain() catches everything itself.
       pool_->Submit([this, shard] { Drain(shard); });
     }
 
-    /// Drains one shard's mailbox until empty; at most one instance per
-    /// mailbox runs at a time. After the first keyed-stage exception or
-    /// Quiesce the remaining epochs pass through unprocessed, so
-    /// watermarks keep advancing and Quiesce cannot hang.
+    /// Drains one epoch from the shard's mailbox, then re-queues the chain
+    /// if more are waiting or ends it. After the first keyed-stage
+    /// exception or Quiesce the remaining epochs pass through unprocessed,
+    /// so watermarks keep advancing and Quiesce cannot hang.
     void Drain(std::size_t shard) {
       Mailbox& mb = mailboxes_[shard];
-      for (;;) {
-        Epoch* e = nullptr;
-        {
-          std::lock_guard<std::mutex> lk(mb.mu);
-          if (mb.epochs.empty()) {
-            mb.draining = false;
-            break;
+      Epoch* e = nullptr;
+      {
+        std::lock_guard<std::mutex> lk(mb.mu);
+        e = mb.epochs.front();
+        mb.epochs.pop_front();
+      }
+      if (!stopped_.load()) {
+        if (std::this_thread::get_id() == driver_) driver_drain_counter_->Add();
+        try {
+          obs::ScopedTraceContext trace_ctx(e->id,
+                                            static_cast<std::int32_t>(shard));
+          obs::TraceSpan span("shard.drain", "shard");
+          Arena* arena = &e->payload.arenas[shard];
+          for (std::uint32_t idx : e->by_part[shard]) {
+            keyed_(shard, e->items[idx], &e->payload.slots[idx], arena);
           }
-          e = mb.epochs.front();
-          mb.epochs.pop_front();
-        }
-        if (!stopped_.load()) {
-          try {
-            obs::ScopedTraceContext trace_ctx(
-                e->id, static_cast<std::int32_t>(shard));
-            obs::TraceSpan span("shard.drain", "shard");
-            Arena* arena = &e->payload.arenas[shard];
-            for (std::uint32_t idx : e->by_part[shard]) {
-              keyed_(shard, e->items[idx], &e->payload.slots[idx], arena);
-            }
-          } catch (...) {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (!error_) error_ = std::current_exception();
-            stopped_ = true;
-          }
-        }
-        {
+        } catch (...) {
           std::lock_guard<std::mutex> lk(mu_);
-          watermarks_.Advance(shard, e->id);
+          if (!error_) error_ = std::current_exception();
+          stopped_ = true;
         }
-        cv_.notify_all();
+      }
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        watermarks_.Advance(shard, e->id);
+      }
+      cv_.notify_all();
+      bool more = false;
+      {
+        std::lock_guard<std::mutex> lk(mb.mu);
+        more = !mb.epochs.empty();
+        mb.draining = more;
+      }
+      // The chain still counts in active_drains_, so the executor outlives
+      // the re-queued task.
+      if (more) {
+        Schedule(shard);
+        return;
       }
       // Notify under the lock: the executor may be destroyed as soon as
       // Quiesce observes active_drains_ == 0, so the wakeup must not touch
@@ -238,12 +265,17 @@ class ShardedRuntime {
     std::condition_variable cv_;
     /// Per-shard epoch watermarks behind the barrier; guarded by mu_.
     EpochWatermarks watermarks_;
+    /// Drain chains running or queued; guarded by mu_.
     std::size_t active_drains_ = 0;
     std::exception_ptr error_;  // first keyed-stage failure; under mu_
     std::atomic<bool> stopped_{false};  // after error_ or Quiesce
     ThreadPool* pool_;
     KeyedFn& keyed_;
+    /// The thread that runs the EpochDriver; drains it runs while it helps
+    /// count in "shard.driver_drains".
+    std::thread::id driver_;
     obs::Counter* enqueue_counter_;
+    obs::Counter* driver_drain_counter_;
   };
 
   std::size_t num_shards_;

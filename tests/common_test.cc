@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -559,6 +563,92 @@ TEST(ThreadPoolTest, NestedParallelForWithExceptionInInner) {
     outer_done.fetch_add(1);
   });
   EXPECT_EQ(outer_done.load(), 4);
+}
+
+/// Parks the only worker of a one-thread pool on a gate, so queued tasks
+/// can run only on a helping caller until Release().
+class ParkedWorker {
+ public:
+  explicit ParkedWorker(ThreadPool* pool) {
+    std::future<void> started = started_.get_future();
+    parked_ = pool->Submit([this, gate = gate_.get_future()] {
+      started_.set_value();
+      gate.wait();
+    });
+    started.wait();
+  }
+  void Release() {
+    gate_.set_value();
+    parked_.get();
+  }
+
+ private:
+  std::promise<void> started_;
+  std::promise<void> gate_;
+  std::future<void> parked_;
+};
+
+// HelpUntil is the pool's one help-while-wait loop (ParallelFor's join and
+// the sharded runtime's epoch barrier).
+TEST(ThreadPoolTest, HelpUntilRunsQueuedTasksUntilThePredicateHolds) {
+  ThreadPool pool(1);
+  ParkedWorker worker(&pool);
+  std::mutex mu;
+  std::condition_variable cv;
+  int done = 0;
+  int on_caller = 0;
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr int kTasks = 16;
+  for (int i = 0; i < kTasks; ++i) {
+    pool.Submit([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      ++done;
+      if (std::this_thread::get_id() == caller) ++on_caller;
+      cv.notify_all();
+    });
+  }
+  pool.HelpUntil(mu, cv, [&] { return done == kTasks / 2; });
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(done, kTasks / 2);  // stops as soon as the predicate holds
+  }
+  pool.HelpUntil(mu, cv, [&] { return done == kTasks; });
+  worker.Release();
+  EXPECT_EQ(on_caller, kTasks);
+}
+
+TEST(ThreadPoolTest, HelpUntilReturnsAtOnceWhenThePredicateHolds) {
+  ThreadPool pool(1);
+  ParkedWorker worker(&pool);
+  std::atomic<int> ran{0};
+  auto queued = pool.Submit([&] { ran.fetch_add(1); });
+  std::mutex mu;
+  std::condition_variable cv;
+  pool.HelpUntil(mu, cv, [] { return true; });
+  EXPECT_EQ(ran.load(), 0);  // the queued task was left to the pool
+  worker.Release();
+  queued.get();
+  EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(ThreadPoolTest, HelpUntilWakesOnNotify) {
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool flag = false;
+  std::thread setter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::lock_guard<std::mutex> lock(mu);
+    flag = true;
+    cv.notify_all();
+  });
+  // The queue is empty, so the caller blocks on cv until the setter runs.
+  pool.HelpUntil(mu, cv, [&] { return flag; });
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_TRUE(flag);
+  }
+  setter.join();
 }
 
 }  // namespace

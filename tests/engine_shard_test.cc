@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
 #include <set>
 #include <span>
@@ -18,7 +21,9 @@
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "common/time_utils.h"
 #include "datacron/engine.h"
+#include "obs/metrics.h"
 #include "sources/adsb_generator.h"
 #include "sources/ais_generator.h"
 #include "stream/epoch.h"
@@ -370,15 +375,20 @@ TEST(ShardedRuntimeTest, GlobalStageExceptionStopsAndJoinsDrains) {
   // sit in the mailboxes. Every drain must join before the exception
   // leaves Run (TSan and ASan would flag a drain touching a freed epoch),
   // and the epochs still queued must pass through unprocessed. Keyed calls
-  // past epoch 10 hold their drain until the global stage has thrown, so
-  // each of the 4 shards is inside at most one such call when the stop
-  // lands; a keyed call past epoch 10 that starts later is a failure.
+  // past epoch 10 on a pool worker hold their drain until the global stage
+  // has thrown, so each of the 4 workers is inside at most one such call
+  // when the stop lands; a keyed call past epoch 10 that starts later is a
+  // failure. The driver helps drain while it waits at the barrier; a call
+  // it runs cannot hold (only the driver can throw), and it runs before
+  // the throw by construction.
   ShardedRuntime<int, int> runtime(4, EpochWindow(3, 4));
   const std::vector<int> input = Iota(200);
   constexpr std::chrono::milliseconds kHold(100);
+  const std::thread::id driver = std::this_thread::get_id();
   std::atomic<bool> thrown{false};
   std::atomic<int> upto_failing{0};
   std::atomic<int> past_failing{0};
+  std::atomic<int> driver_after_throw{0};
   ThreadPool pool(4);  // one worker per shard: a held drain blocks no other
   EXPECT_THROW(
       runtime.Run(
@@ -390,6 +400,10 @@ TEST(ShardedRuntimeTest, GlobalStageExceptionStopsAndJoinsDrains) {
               // A slow epoch 10 lets the driver fill the window (11..13).
               if (v == 32) std::this_thread::sleep_for(kHold / 2);
               upto_failing.fetch_add(1);
+              return;
+            }
+            if (std::this_thread::get_id() == driver) {
+              if (thrown.load()) driver_after_throw.fetch_add(1);
               return;
             }
             past_failing.fetch_add(1);
@@ -406,6 +420,117 @@ TEST(ShardedRuntimeTest, GlobalStageExceptionStopsAndJoinsDrains) {
       std::runtime_error);
   EXPECT_EQ(upto_failing.load(), 33);
   EXPECT_LE(past_failing.load(), 4);
+  EXPECT_EQ(driver_after_throw.load(), 0);
+}
+
+/// Waits for a task on a pool whose only worker may be deadlocked. Such a
+/// pool cannot even be destroyed, so a timeout aborts the test binary.
+template <typename T>
+T GetOrAbort(std::future<T>& f) {
+  if (f.wait_for(std::chrono::minutes(5)) != std::future_status::ready) {
+    std::fprintf(stderr, "pool task did not finish: deadlock\n");
+    std::abort();
+  }
+  return f.get();
+}
+
+TEST(ShardedRuntimeTest, KeyedFailureWithTheDriverAsOnlyDrainerPropagates) {
+  // Run is called from the only worker of the pool, so every drain task
+  // queues behind the driver: the driver drains, records the failure,
+  // helps the remaining chains pass through at Quiesce, and rethrows.
+  ShardedRuntime<int, int> runtime(4, EpochWindow(4, 4));
+  const std::vector<int> input = Iota(200);
+  ThreadPool pool(1);
+  std::atomic<int> past_failure{0};
+  auto nested = pool.Submit([&] {
+    runtime.Run(
+        std::span<const int>(input), &pool,
+        [](const int& v) { return static_cast<std::uint64_t>(v); },
+        [&](std::size_t, const int& v, int* slot, NoShardArena*) {
+          if (v == 37) throw std::runtime_error("keyed stage failure");
+          if (v > 37) past_failure.fetch_add(1);
+          *slot = v;
+        },
+        [](std::span<const int> items, std::span<int>,
+           std::span<NoShardArena>) {
+          // The failing epoch (36..39) never reaches the global stage.
+          EXPECT_LT(items.front(), 36);
+        });
+  });
+  EXPECT_THROW(GetOrAbort(nested), std::runtime_error);
+  // Shards other than 37's may have drained a few later items before the
+  // failure landed, but the window bounds them (epochs 9..12 at most).
+  EXPECT_LT(past_failure.load(), 16);
+  auto after = pool.Submit([] { return 7; });
+  EXPECT_EQ(GetOrAbort(after), 7);
+}
+
+TEST(ShardedRuntimeTest, EachShardHasOneDrainerAndSeesItsEpochsInOrder) {
+  // Drain chains re-queue behind the other shards' older epochs, and the
+  // driver runs queued drains while it waits; neither may put two
+  // drainers on one shard or reorder a shard's epochs.
+  struct FirstCall {
+    bool seen = false;
+  };
+  const std::vector<int> input = Iota(600);
+  obs::Counter* driver_drains =
+      obs::MetricsRegistry::Global().counter("shard.driver_drains");
+  const std::uint64_t driver_drains0 = driver_drains->Value();
+  const std::thread::id driver = std::this_thread::get_id();
+  std::size_t mailbox_calls_on_driver = 0;
+  for (const std::size_t shards : {1u, 3u, 4u, 8u}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      for (const EpochWindow window : {EpochWindow(3, 4), EpochWindow(16, 2)}) {
+        SCOPED_TRACE(StrFormat("%zu shards, %zu threads, epoch %zu x %zu",
+                               shards, threads, window.epoch_size,
+                               window.max_in_flight));
+        ShardedRuntime<int, int, FirstCall> runtime(shards, window);
+        std::vector<std::atomic<bool>> in_flight(shards);
+        // Written only by the shard's current drainer.
+        std::vector<std::int64_t> last_epoch(shards, -1);
+        std::vector<int> last_item(shards, -1);
+        std::atomic<int> overlaps{0};
+        std::atomic<int> out_of_order{0};
+        std::atomic<std::size_t> on_driver{0};
+        ThreadPool pool(threads);
+        runtime.Run(
+            std::span<const int>(input), &pool,
+            [](const int& v) {
+              return (static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ull) >>
+                     32;
+            },
+            [&](std::size_t shard, const int& v, int* slot, FirstCall* arena) {
+              if (in_flight[shard].exchange(true)) overlaps.fetch_add(1);
+              const auto epoch =
+                  static_cast<std::int64_t>(v) /
+                  static_cast<std::int64_t>(window.epoch_size);
+              if (!arena->seen) {
+                arena->seen = true;
+                if (epoch <= last_epoch[shard]) out_of_order.fetch_add(1);
+                last_epoch[shard] = epoch;
+              }
+              if (v <= last_item[shard]) out_of_order.fetch_add(1);
+              last_item[shard] = v;
+              if (std::this_thread::get_id() == driver) on_driver.fetch_add(1);
+              // Stay in flight long enough for an overlap to show.
+              const std::int64_t until = MonotonicNanos() + 2000;
+              while (MonotonicNanos() < until) {
+              }
+              *slot = v;
+              in_flight[shard].store(false);
+            },
+            [](std::span<const int>, std::span<int>,
+               std::span<FirstCall>) {});
+        EXPECT_EQ(overlaps.load(), 0);
+        EXPECT_EQ(out_of_order.load(), 0);
+        if (shards > 1) mailbox_calls_on_driver += on_driver.load();
+      }
+    }
+  }
+  // The waiting driver drained shard-epochs itself, and the registry
+  // counted them.
+  EXPECT_GT(mailbox_calls_on_driver, 0u);
+  EXPECT_GT(driver_drains->Value(), driver_drains0);
 }
 
 // ---------------------------------------------------------------------
@@ -727,6 +852,16 @@ TEST(EngineShardTest, ByteIdenticalWhenRdfizingAllReports) {
   const EngineRun run =
       RunSharded(stream, 4, 128, &pool, /*rdfize_all=*/true);
   ExpectIdentical(serial, run);
+}
+
+TEST(EngineShardTest, IngestBatchInsideAOneWorkerPoolTaskMatchesSerial) {
+  // The only worker drives the epochs, so every drain task queues behind
+  // the driver; the driver's barrier wait drains them itself.
+  const auto stream = MixedStream();
+  const EngineRun serial = RunSerial(stream);
+  ThreadPool pool(1);
+  auto nested = pool.Submit([&] { return RunSharded(stream, 4, 128, &pool); });
+  ExpectIdentical(serial, GetOrAbort(nested));
 }
 
 TEST(EngineShardTest, NullPoolFallbackMatchesSerial) {
