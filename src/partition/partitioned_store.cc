@@ -98,17 +98,17 @@ void PartitionedRdfStore::Load(const std::vector<Triple>& triples,
 
   for (TripleStore& part : parts_) part.Seal();
 
-  // Predicate-existence metadata for executor-side partition skipping.
-  auto fill_predicates = [this](std::size_t p) {
-    const std::vector<TermId> preds = parts_[p].Predicates();
-    meta_[p].predicates.Reserve(preds.size());
-    for (TermId pred : preds) meta_[p].predicates.Insert(pred);
-  };
-  if (parallel) {
-    pool->ParallelFor(static_cast<std::size_t>(k), fill_predicates);
-  } else {
-    for (std::size_t p = 0; p < static_cast<std::size_t>(k); ++p) {
-      fill_predicates(p);
+  // Each subject's home partition, read off the sealed partitions so it
+  // names exactly where the subject's triples landed.
+  std::size_t subjects = 0;
+  for (const TripleStore& part : parts_) subjects += part.subjects();
+  home_.Clear();
+  home_.Reserve(subjects);
+  for (int p = 0; p < k; ++p) {
+    TermId last = kInvalidTermId;
+    for (const Triple& t : parts_[p].Range(TriplePattern{})) {
+      if (t.s != last) home_[t.s] = p;
+      last = t.s;
     }
   }
 

@@ -24,17 +24,8 @@ struct PartitionMeta {
   std::int64_t max_bucket = std::numeric_limits<std::int64_t>::min();
   std::size_t triple_count = 0;
   std::size_t tagged_resources = 0;
-  /// Distinct predicates stored in the partition. A pattern with a bound
-  /// predicate absent from this set cannot match here, so the executor
-  /// skips the partition without touching its indexes.
-  FlatHashSet<TermId> predicates;
 
   bool HasTimeRange() const { return min_bucket <= max_bucket; }
-
-  /// True unless `p` is a bound predicate the partition provably lacks.
-  bool MightMatchPredicate(TermId p) const {
-    return p == kInvalidTermId || predicates.Contains(p);
-  }
 };
 
 /// Load-balance and locality statistics of a partitioning — what E5
@@ -76,6 +67,22 @@ class PartitionedRdfStore {
   const PartitionStats& stats() const { return stats_; }
   std::size_t TotalTriples() const;
 
+  /// True unless `p` is a bound predicate partition `part` lacks — one
+  /// lookup in the partition's predicate directory. A pattern with such a
+  /// predicate cannot match there, so the executor skips the partition.
+  bool MightMatchPredicate(int part, TermId p) const {
+    return p == kInvalidTermId ||
+           parts_[part].Count({kInvalidTermId, p, kInvalidTermId}) > 0;
+  }
+
+  /// The partition holding `subject`'s triples, or -1 when no partition
+  /// holds a triple with that subject. Placement is subject-based, so a
+  /// pattern with a bound subject can only match in this partition.
+  int HomeOf(TermId subject) const {
+    const int* home = home_.Find(subject);
+    return home != nullptr ? *home : -1;
+  }
+
   /// Partitions whose envelope intersects the given constraints
   /// (empty box / inverted bucket range = unconstrained).
   std::vector<int> PruneCandidates(const BoundingBox& box,
@@ -85,6 +92,8 @@ class PartitionedRdfStore {
  private:
   std::vector<TripleStore> parts_;
   std::vector<PartitionMeta> meta_;
+  /// Subject -> its partition, recorded by Load from the sealed parts.
+  FlatHashMap<TermId, int> home_;
   PartitionStats stats_;
 };
 

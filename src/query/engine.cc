@@ -335,10 +335,13 @@ bool IsConstrained(const Query& query, int var) {
   return false;
 }
 
-/// Both strategies check a constraint when its variable binds, and every
-/// result row binds every BGP variable. A constraint on a variable the BGP
-/// never mentions therefore holds for no row.
-bool ConstraintsBindable(const Query& query) {
+/// False when `query` provably matches nothing: an empty BGP, a constant
+/// the dictionary does not hold, or a constraint on a variable the BGP
+/// never mentions (both strategies check a constraint when its variable
+/// binds, and every result row binds every BGP variable, so such a
+/// constraint holds for no row).
+bool CanMatch(const Query& query) {
+  if (query.bgp.empty() || query.unsatisfiable) return false;
   auto mentioned = [&query](int var) {
     for (const QueryTriple& qt : query.bgp) {
       if (qt.s.var == var || qt.p.var == var || qt.o.var == var) return true;
@@ -469,22 +472,35 @@ std::size_t ScanPatternPartition(const TripleStore& part,
 }
 
 /// A bind join costs about this many index probes' worth of work per
-/// accumulated row and partition, relative to scanning one triple.
-/// ExecuteGlobal bind-joins a pattern when acc.rows × partitions ×
-/// kBindProbeCost is below the pattern's index count.
+/// partition probe, relative to scanning one triple. ExecuteGlobal
+/// bind-joins a pattern when its probe count × kBindProbeCost is below the
+/// pattern's index count: acc.rows probes when the probe binds the
+/// subject (SubjectRouted), acc.rows × candidate partitions otherwise.
 constexpr std::size_t kBindProbeCost = 4;
+
+/// True when every bind probe of `spec` from rows of `acc` binds the
+/// subject — a constant, or a variable `acc` carries — so it can only
+/// match in the subject's home partition.
+bool SubjectRouted(const ColumnTable& acc, const PatternScanSpec& spec) {
+  return spec.rp.concrete.s != kInvalidTermId ||
+         ColumnOf(acc.vars, spec.rp.var_s) >= 0;
+}
 
 /// Bind (index nested loop) join: extends every row of `acc` through the
 /// pattern of `spec` by substituting the row's values into the pattern and
-/// probing it in each partition of `parts`. Newly bound variables have
-/// their constraints checked as they bind. Rows come out ordered by acc
-/// row, then partition, then index order; acc chunks concatenate in chunk
-/// order, so the table is identical at any thread count.
+/// probing it in each partition of `parts` — or, when the probe binds the
+/// subject, only in the subject's home partition, skipping the row when
+/// that partition is not in `parts`. Newly bound variables have their
+/// constraints checked as they bind. Rows come out ordered by acc row,
+/// then partition, then index order (a routed probe skips only partitions
+/// holding no triple of its subject, so the order is the same); acc chunks
+/// concatenate in chunk order, so the table is identical at any thread
+/// count. Adds the partition probes issued to `*probes`.
 ColumnTable BindJoin(const ColumnTable& acc, const PatternScanSpec& spec,
                      const std::vector<int>& parts,
                      const PartitionedRdfStore& store, const Query& query,
                      const FlatHashMap<TermId, NodeGeo>& geo,
-                     ThreadPool* pool) {
+                     ThreadPool* pool, std::size_t* probes) {
   ColumnTable out;
   out.vars = acc.vars;
   for (int v : spec.vars) {
@@ -510,10 +526,15 @@ ColumnTable BindJoin(const ColumnTable& acc, const PatternScanSpec& spec,
     pos_acc[i] = ColumnOf(acc.vars, pos_var[i]);
     if (pos_acc[i] < 0) pos_out[i] = ColumnOf(out.vars, pos_var[i]);
   }
+  const bool routed = SubjectRouted(acc, spec);
+  std::vector<char> candidate(
+      static_cast<std::size_t>(store.num_partitions()), 0);
+  for (int part : parts) candidate[part] = 1;
 
   const std::size_t chunks = NumChunks(acc.rows, pool);
   std::vector<std::vector<TermId>> chunk_cells(chunks);
   std::vector<std::size_t> chunk_rows(chunks, 0);
+  std::vector<std::size_t> chunk_probes(chunks, 0);
   const std::size_t per = chunks ? (acc.rows + chunks - 1) / chunks : 0;
   RunChunks(chunks, pool, [&](std::size_t c) {
     std::vector<TermId>& cells = chunk_cells[c];
@@ -527,7 +548,15 @@ ColumnTable BindJoin(const ColumnTable& acc, const PatternScanSpec& spec,
       for (int i = 0; i < 3; ++i) {
         if (pos_acc[i] >= 0) *probe_pos[i] = arow[pos_acc[i]];
       }
-      for (int part : parts) {
+      std::span<const int> targets = parts;
+      int home = -1;
+      if (routed) {
+        home = store.HomeOf(probe.s);
+        targets = home >= 0 && candidate[home] ? std::span<const int>(&home, 1)
+                                               : std::span<const int>();
+      }
+      chunk_probes[c] += targets.size();
+      for (int part : targets) {
         for (const Triple& t : store.partition(part).Range(probe)) {
           const TermId matched[3] = {t.s, t.p, t.o};
           for (std::size_t oc = 0; oc < ow; ++oc) {
@@ -555,7 +584,10 @@ ColumnTable BindJoin(const ColumnTable& acc, const PatternScanSpec& spec,
       }
     }
   });
-  for (std::size_t c = 0; c < chunks; ++c) out.rows += chunk_rows[c];
+  for (std::size_t c = 0; c < chunks; ++c) {
+    out.rows += chunk_rows[c];
+    *probes += chunk_probes[c];
+  }
   out.cells.reserve(out.rows * ow);
   for (std::size_t c = 0; c < chunks; ++c) {
     out.cells.insert(out.cells.end(), chunk_cells[c].begin(),
@@ -713,12 +745,11 @@ ResultSet QueryEngine::ExecuteLocal(const Query& query) const {
   // Each surviving partition then picks its start from its own counts.
   std::vector<PartitionPlan> plans;
   std::size_t work = 0;
-  if (!query.bgp.empty() && ConstraintsBindable(query)) {
+  if (CanMatch(query)) {
     for (int p : PrunedPartitions(query)) {
       bool possible = true;
       for (const QueryTriple& qt : query.bgp) {
-        if (!qt.p.IsVar() &&
-            !store_->meta(p).MightMatchPredicate(qt.p.term)) {
+        if (!qt.p.IsVar() && !store_->MightMatchPredicate(p, qt.p.term)) {
           possible = false;
           break;
         }
@@ -769,7 +800,7 @@ ResultSet QueryEngine::ExecuteGlobal(const Query& query) const {
   Stopwatch timer;
   ResultSet rs;
   rs.stats.partitions_total = store_->num_partitions();
-  if (query.bgp.empty() || !ConstraintsBindable(query)) return rs;
+  if (!CanMatch(query)) return rs;
 
   Stopwatch plan_timer;
   obs::TraceSpan plan_span("query.plan", "query");
@@ -797,7 +828,7 @@ ResultSet QueryEngine::ExecuteGlobal(const Query& query) const {
         qt.s.IsVar() && IsConstrained(query, qt.s.var);
     for (int p : subject_constrained ? PrunedPartitions(query, qt.s.var)
                                      : all_parts) {
-      if (store_->meta(p).MightMatchPredicate(specs[pi].rp.concrete.p)) {
+      if (store_->MightMatchPredicate(p, specs[pi].rp.concrete.p)) {
         cands[pi].push_back(p);
         cost[pi] += store_->partition(p).Count(specs[pi].rp.concrete);
       }
@@ -861,17 +892,20 @@ ResultSet QueryEngine::ExecuteGlobal(const Query& query) const {
   ColumnTable acc = scan(take_next({}));
   while (!remaining.empty() && acc.rows > 0) {
     const std::size_t pi = take_next(acc.vars);
+    const std::size_t probes_per_row =
+        SubjectRouted(acc, specs[pi]) ? 1 : cands[pi].size();
     const bool bind = SharesVar(acc.vars, specs[pi].vars) &&
-                      acc.rows * cands[pi].size() * kBindProbeCost < cost[pi];
+                      acc.rows * probes_per_row * kBindProbeCost < cost[pi];
     ColumnTable table;
     if (!bind) table = scan(pi);
     Stopwatch join_timer;
     obs::TraceSpan join_span("query.join", "query");
     if (bind) {
-      const std::size_t probes = acc.rows * cands[pi].size();
+      std::size_t probes = 0;
+      acc = BindJoin(acc, specs[pi], cands[pi], *store_, query, geo_, pool_,
+                     &probes);
       rs.stats.bind_probes += probes;
       bind_probes->Add(probes);
-      acc = BindJoin(acc, specs[pi], cands[pi], *store_, query, geo_, pool_);
     } else {
       acc = JoinTables(acc, table, pool_);
     }

@@ -45,8 +45,9 @@ struct QueryExecStats {
   std::vector<std::size_t> join_rows;
   /// The kind of each join, parallel to join_rows.
   std::vector<JoinKind> join_kinds;
-  /// Index probes the bind joins issued: one per accumulated row and
-  /// candidate partition.
+  /// Partition probes the bind joins issued: one per accumulated row and
+  /// candidate partition, or one per row whose probe binds the subject and
+  /// whose home partition is a candidate (none for the other routed rows).
   std::size_t bind_probes = 0;
 
   std::string ToString() const;
@@ -79,10 +80,11 @@ struct ResultSet {
 ///    candidate partitions into a columnar binding table (the pattern's
 ///    own variables, rows in one flat TermId array). Each next pattern
 ///    sharing a variable is bind-joined, one index probe per accumulated
-///    row and candidate partition, when that is cheaper than its index
-///    count; otherwise it is scanned and hash-joined on packed u64 keys
-///    over open-addressing FlatHashMaps with a partitioned parallel build
-///    side. Always complete.
+///    row and candidate partition — or only in the subject's home
+///    partition when the probe binds the subject — when that is cheaper
+///    than its index count; otherwise it is scanned and hash-joined on
+///    packed u64 keys over open-addressing FlatHashMaps with a
+///    partitioned parallel build side. Always complete.
 /// Every plan choice depends only on index counts and row counts, never on
 /// the pool. The E5 benchmark quantifies the gap between the strategies —
 /// the classic locality-versus-completeness trade in distributed RDF

@@ -96,12 +96,18 @@ bool IsVar(const std::string& tok) {
   return tok.size() > 1 && tok[0] == '?';
 }
 
-/// Parses a bound term token (<iri> or "literal"^^kind) into a TermId.
-bool ParseBoundTerm(const std::string& tok, TermDictionary* dict,
+/// Parses a bound term token (<iri> or "literal"^^kind) into the id
+/// `dict` holds for it, or kUnknownTermId when it holds none.
+bool ParseBoundTerm(const std::string& tok, const TermDictionary* dict,
                     TermId* out) {
-  if (tok.size() >= 2 && tok.front() == '<' && tok.back() == '>') {
-    *out = dict->Intern(tok.substr(1, tok.size() - 2));
+  auto find = [dict, out](std::string_view text, TermKind kind) {
+    const TermId id = dict->Find(text, kind);
+    *out = id != kInvalidTermId ? id : kUnknownTermId;
     return true;
+  };
+  if (tok.size() >= 2 && tok.front() == '<' && tok.back() == '>') {
+    return find(std::string_view(tok).substr(1, tok.size() - 2),
+                TermKind::kIri);
   }
   if (!tok.empty() && tok.front() == '"') {
     const std::size_t close = tok.rfind('"');
@@ -127,8 +133,7 @@ bool ParseBoundTerm(const std::string& tok, TermDictionary* dict,
         return false;
       }
     }
-    *out = dict->Intern(lexical, kind);
-    return true;
+    return find(lexical, kind);
   }
   return false;
 }
@@ -142,11 +147,12 @@ bool ParseInstant(const std::string& tok, TimestampMs* out) {
 }  // namespace
 
 Result<ParsedQuery> ParseQuery(const std::string& text,
-                               TermDictionary* dict) {
+                               const TermDictionary* dict) {
   Tokenizer lexer(text);
   ParsedQuery parsed;
   QueryBuilder builder;
   bool select_all = false;
+  bool unknown_constant = false;
 
   auto var_index = [&](const std::string& tok) {
     const int idx = builder.Var(tok.substr(1));
@@ -204,6 +210,7 @@ Result<ParsedQuery> ParseQuery(const std::string& text,
       }
       TermId id;
       if (!ParseBoundTerm(t, dict, &id)) return false;
+      unknown_constant |= id == kUnknownTermId;
       *out = QueryTerm::Bound(id);
       return true;
     };
@@ -271,6 +278,7 @@ Result<ParsedQuery> ParseQuery(const std::string& text,
   if (!lexer.ok()) return Status::ParseError("lexing error");
 
   parsed.query = builder.Build();
+  parsed.query.unsatisfiable = unknown_constant;
   // Resolve the projection.
   if (select_all) {
     parsed.select = parsed.var_names;

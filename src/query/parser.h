@@ -36,10 +36,12 @@ struct ParsedQuery {
 /// takes two ISO-8601 instants or raw epoch-millisecond integers. Both
 /// clauses may repeat. `SELECT *` projects every variable.
 ///
-/// Bound terms are interned into `dict` (a query about an unknown IRI
-/// simply matches nothing).
+/// Bound terms are looked up in `dict`, never interned, so parsing leaves
+/// the dictionary and the ids it hands out later unchanged. A term the
+/// dictionary does not hold becomes kUnknownTermId and marks the query
+/// unsatisfiable: it parses, and answers with zero rows.
 Result<ParsedQuery> ParseQuery(const std::string& text,
-                               TermDictionary* dict);
+                               const TermDictionary* dict);
 
 }  // namespace datacron
 

@@ -43,6 +43,11 @@ struct TemporalConstraint {
   TimestampMs t_max = 0;
 };
 
+/// The term a parsed query binds a constant to when the dictionary does
+/// not hold it: nonzero, so a pattern never reads it as a wildcard, and a
+/// batch-local id, which no store holds (see kLocalTermBit).
+constexpr TermId kUnknownTermId = kLocalTermBit;
+
 /// A conjunctive spatiotemporal RDF query: a BGP plus spatial/temporal
 /// constraints on node variables — the query class the datAcron
 /// spatiotemporal query-answering component serves. Constraints both
@@ -52,6 +57,9 @@ struct Query {
   std::vector<QueryTriple> bgp;
   std::vector<SpatialConstraint> spatial;
   std::vector<TemporalConstraint> temporal;
+  /// Set when some constant of the BGP is kUnknownTermId: no triple can
+  /// match it, so every strategy answers with zero rows.
+  bool unsatisfiable = false;
 };
 
 /// Fluent builder so examples/tests read declaratively.

@@ -38,7 +38,7 @@ struct OspLess {
 /// short range costs O(log width) comparisons on cache lines next to the
 /// start instead of a second search over the whole index.
 template <typename Less>
-std::span<const Triple> PrefixRange(const std::vector<Triple>& index,
+std::span<const Triple> PrefixRange(std::span<const Triple> index,
                                     const Triple& lo_key,
                                     const Triple& hi_key, Less less) {
   const auto lo = std::lower_bound(index.begin(), index.end(), lo_key, less);
@@ -50,6 +50,36 @@ std::span<const Triple> PrefixRange(const std::vector<Triple>& index,
     probe = index.end() - probe > step ? probe + step : index.end();
   }
   return {lo, std::upper_bound(inside, probe, hi_key, less)};
+}
+
+/// Fills `dir` with the run of every leading key of sorted `index`, the
+/// key being the `key` member of each triple.
+template <typename Run>
+void BuildDirectory(const std::vector<Triple>& index, TermId Triple::*key,
+                    FlatHashMap<TermId, Run>* dir) {
+  std::size_t keys = 0;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    keys += i == 0 || index[i].*key != index[i - 1].*key;
+  }
+  dir->Clear();
+  dir->Reserve(keys);
+  for (std::size_t begin = 0; begin < index.size();) {
+    std::size_t end = begin + 1;
+    while (end < index.size() && index[end].*key == index[begin].*key) ++end;
+    (*dir)[index[begin].*key] = Run{begin, end};
+    begin = end;
+  }
+}
+
+/// The triples of `index` whose leading key is `key`, via `dir`.
+template <typename Run>
+std::span<const Triple> LeadingRun(const std::vector<Triple>& index,
+                                   const FlatHashMap<TermId, Run>& dir,
+                                   TermId key) {
+  const Run* run = dir.Find(key);
+  if (run == nullptr) return {};
+  return std::span<const Triple>(index).subspan(run->begin,
+                                                run->end - run->begin);
 }
 
 constexpr TermId kMaxTerm = ~static_cast<TermId>(0);
@@ -80,6 +110,7 @@ void TripleStore::Seal(ThreadPool* pool) {
     pos_.reserve(spo_.size());
     pos_.assign(spo_.begin(), spo_.end());
     ParallelSort(&pos_, PosLess(), pool);
+    BuildDirectory(pos_, &Triple::p, &predicate_runs_);
   };
   auto build_osp = [this, pool] {
     osp_.clear();
@@ -87,21 +118,27 @@ void TripleStore::Seal(ThreadPool* pool) {
     osp_.assign(spo_.begin(), spo_.end());
     ParallelSort(&osp_, OspLess(), pool);
   };
+  auto build_subjects = [this] {
+    BuildDirectory(spo_, &Triple::s, &subject_runs_);
+  };
   if (pool != nullptr && pool->num_threads() >= 2 &&
       spo_.size() >= kMinParallelSortSize) {
-    // The two permutation builds are independent; run them as one
-    // two-iteration ParallelFor so the caller help-runs if it is itself a
-    // pool worker.
-    pool->ParallelFor(2, [&](std::size_t i) {
+    // The two permutation builds and the subject directory are
+    // independent; run them as one three-iteration ParallelFor so the
+    // caller help-runs if it is itself a pool worker.
+    pool->ParallelFor(3, [&](std::size_t i) {
       if (i == 0) {
         build_pos();
-      } else {
+      } else if (i == 1) {
         build_osp();
+      } else {
+        build_subjects();
       }
     });
   } else {
     build_pos();
     build_osp();
+    build_subjects();
   }
   sealed_ = true;
 }
@@ -120,14 +157,24 @@ TripleStore::Perm TripleStore::ChoosePerm(const TriplePattern& q) const {
 std::span<const Triple> TripleStore::Range(const TriplePattern& q) const {
   // The bound components lead the chosen order, so the range runs from
   // the pattern with wildcards as 0 to the pattern with wildcards as max.
+  // SPO and POS ranges start from the leading key's run, which is the
+  // whole answer when no second component is bound.
   const Triple lo{q.s, q.p, q.o};
   auto top = [](TermId t) { return t != kInvalidTermId ? t : kMaxTerm; };
   const Triple hi{top(q.s), top(q.p), top(q.o)};
+  const bool narrow = q.BoundCount() > 1;
   switch (ChoosePerm(q)) {
-    case Perm::kSpo:
-      return PrefixRange(spo_, lo, hi, SpoLess());
-    case Perm::kPos:
-      return PrefixRange(pos_, lo, hi, PosLess());
+    case Perm::kSpo: {
+      if (q.s == kInvalidTermId) return spo_;  // full scan
+      const std::span<const Triple> run =
+          LeadingRun(spo_, subject_runs_, q.s);
+      return narrow ? PrefixRange(run, lo, hi, SpoLess()) : run;
+    }
+    case Perm::kPos: {
+      const std::span<const Triple> run =
+          LeadingRun(pos_, predicate_runs_, q.p);
+      return narrow ? PrefixRange(run, lo, hi, PosLess()) : run;
+    }
     case Perm::kOsp:
       return PrefixRange(osp_, lo, hi, OspLess());
   }

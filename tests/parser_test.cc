@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 
 #include "partition/partitioned_store.h"
@@ -15,6 +16,8 @@ namespace {
 
 TEST(ParserTest, MinimalSelectWhere) {
   TermDictionary dict;
+  dict.Intern("rdf:type");
+  dict.Intern("dc:Vessel");
   auto parsed = ParseQuery(
       "SELECT ?v WHERE { ?v <rdf:type> <dc:Vessel> . }", &dict);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -95,6 +98,8 @@ TEST(ParserTest, SelectStar) {
 
 TEST(ParserTest, TypedLiteralObject) {
   TermDictionary dict;
+  dict.Intern("dc:hasNodeKind");
+  dict.Intern("stop_start", TermKind::kLiteralString);
   auto parsed = ParseQuery(
       "SELECT ?n WHERE { ?n <dc:hasNodeKind> \"stop_start\"^^string . }",
       &dict);
@@ -106,6 +111,8 @@ TEST(ParserTest, TypedLiteralObject) {
 
 TEST(ParserTest, NodeIriConstantIsItsInlineId) {
   TermDictionary dict;
+  dict.Intern("dc:hasNextNode");
+  const TermId padded_id = dict.Intern("node:07#2");
   auto parsed = ParseQuery(
       "SELECT ?b WHERE { <node:7#2> <dc:hasNextNode> ?b . }", &dict);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -117,8 +124,8 @@ TEST(ParserTest, NodeIriConstantIsItsInlineId) {
       "SELECT ?b WHERE { <node:07#2> <dc:hasNextNode> ?b . }", &dict);
   ASSERT_TRUE(padded.ok()) << padded.status().ToString();
   EXPECT_NE(padded.value().query.bgp[0].s.term, node);
-  EXPECT_EQ(dict.Text(padded.value().query.bgp[0].s.term).value(),
-            "node:07#2");
+  EXPECT_EQ(padded.value().query.bgp[0].s.term, padded_id);
+  EXPECT_EQ(dict.Text(padded_id).value(), "node:07#2");
 }
 
 TEST(ParserTest, Errors) {
@@ -216,6 +223,67 @@ TEST(ParserTest, ParsedQueryExecutesEndToEnd) {
   ASSERT_TRUE(parsed2.ok());
   const auto rs2 = engine.ExecuteGlobal(parsed2.value().query);
   EXPECT_GT(rs2.rows.size(), 0u);
+}
+
+TEST(ParserTest, UnknownConstantsNeverGrowTheDictionary) {
+  // Query constants are looked up, not interned: a query naming terms the
+  // stream never produced leaves the dictionary — and so the ids later
+  // terms get — unchanged, and answers with zero rows.
+  TermDictionary dict;
+  Vocab vocab(&dict);
+  Rdfizer rdfizer(Rdfizer::Config{}, &dict, &vocab);
+  AisGeneratorConfig fleet;
+  fleet.num_vessels = 4;
+  fleet.duration = 10 * kMinute;
+  std::vector<Triple> triples;
+  for (const auto& r : ObserveFleet(GenerateAisFleet(fleet),
+                                    ObservationConfig{})) {
+    const auto ts = rdfizer.TransformReport(r);
+    triples.insert(triples.end(), ts.begin(), ts.end());
+  }
+  HashPartitioner scheme(2, &rdfizer.tags());
+  PartitionedRdfStore store;
+  store.Load(triples, scheme, rdfizer.grid());
+  ThreadPool pool(2);
+  QueryEngine engine(&store, &rdfizer, &pool);
+
+  const std::size_t before = dict.size();
+  const char* const shapes[] = {
+      "SELECT ?n WHERE { ?n <rdf:type> <dc:NoSuchClass%d> . }",
+      "SELECT ?n WHERE { ?n <dc:noSuchPredicate%d> ?o . }",
+      "SELECT ?o WHERE { <dc:noSuchSubject%d> <rdf:type> ?o . }",
+      "SELECT ?n WHERE { ?n <rdf:type> <dc:PositionNode> . "
+      "?n <dc:hasNodeKind> \"no_such_kind_%d\"^^string . }",
+      "SELECT ?n WHERE { ?n <dc:hasSpeed> \"%d.50\"^^double . }",
+  };
+  std::size_t unsatisfiable = 0;
+  for (int i = 0; i < 10000; ++i) {
+    char text[256];
+    std::snprintf(text, sizeof(text), shapes[i % 5], i);
+    const auto parsed = ParseQuery(text, &dict);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    const Query& q = parsed.value().query;
+    for (const QueryTriple& qt : q.bgp) {
+      for (const QueryTerm* t : {&qt.s, &qt.p, &qt.o}) {
+        if (!t->IsVar()) {
+          EXPECT_NE(t->term, kInvalidTermId) << text;
+        }
+      }
+    }
+    unsatisfiable += q.unsatisfiable;
+    EXPECT_TRUE(engine.ExecuteLocal(q).rows.empty()) << text;
+    EXPECT_TRUE(engine.ExecuteGlobal(q).rows.empty()) << text;
+  }
+  EXPECT_EQ(unsatisfiable, 10000u);
+  EXPECT_EQ(dict.size(), before);
+
+  // The same vocabulary, known to the dictionary, parses satisfiable.
+  const auto known = ParseQuery(
+      "SELECT ?n WHERE { ?n <rdf:type> <dc:PositionNode> . }", &dict);
+  ASSERT_TRUE(known.ok());
+  EXPECT_FALSE(known.value().query.unsatisfiable);
+  EXPECT_FALSE(engine.ExecuteGlobal(known.value().query).rows.empty());
+  EXPECT_EQ(dict.size(), before);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <memory>
 #include <set>
 
+#include "common/thread_pool.h"
 #include "partition/partitioned_store.h"
 #include "partition/partitioner.h"
 #include "rdf/rdfizer.h"
@@ -66,6 +67,36 @@ TEST_F(PartitionTest, SubjectsAreColocated) {
       const int p = scheme->PartitionOf(t);
       auto [it, inserted] = subject_partition.try_emplace(t.s, p);
       EXPECT_EQ(it->second, p) << scheme->name();
+    }
+  }
+}
+
+TEST_F(PartitionTest, HomeOfIsTheSubjectsPartitionUnderEveryScheme) {
+  std::vector<std::unique_ptr<PartitionScheme>> schemes;
+  schemes.push_back(
+      std::make_unique<HashPartitioner>(4, &rdfizer_->tags()));
+  schemes.push_back(std::make_unique<GridPartitioner>(4, &rdfizer_->tags(),
+                                                      rdfizer_->grid()));
+  schemes.push_back(HilbertPartitioner::Build(4, &rdfizer_->tags(),
+                                              rdfizer_->grid()));
+  schemes.push_back(TemporalPartitioner::Build(4, &rdfizer_->tags()));
+  schemes.push_back(SpatioTemporalPartitioner::Build(
+      2, 2, &rdfizer_->tags(), rdfizer_->grid()));
+  ThreadPool pool(4);
+  for (const auto& scheme : schemes) {
+    // The serial and the pooled Load record the same homes.
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      PartitionedRdfStore store;
+      store.Load(triples_, *scheme, rdfizer_->grid(), kInvalidTermId, p);
+      for (const Triple& t : triples_) {
+        ASSERT_EQ(store.HomeOf(t.s), scheme->PartitionOfNode(t.s))
+            << scheme->name();
+      }
+      // Objects that are never subjects, and terms nobody interned.
+      EXPECT_EQ(store.HomeOf(vocab_.c_position_node), -1) << scheme->name();
+      EXPECT_EQ(store.HomeOf(dict_.Intern("dc:neverASubject")), -1);
+      EXPECT_EQ(store.HomeOf(kInvalidTermId), -1);
+      EXPECT_EQ(store.HomeOf(InlineNode(999999, 1)), -1);
     }
   }
 }

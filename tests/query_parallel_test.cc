@@ -271,10 +271,10 @@ TEST_F(QueryParallelTest, StageBreakdownPopulated) {
 }
 
 TEST_F(QueryParallelTest, PredicateExistenceSkipsPartitions) {
-  // Every partition's predicate set is populated by Load...
+  // Every partition's predicate directory is populated by Load...
   for (int p = 0; p < store_.num_partitions(); ++p) {
-    EXPECT_TRUE(store_.meta(p).MightMatchPredicate(vocab_.p_type));
-    EXPECT_TRUE(store_.meta(p).MightMatchPredicate(kInvalidTermId));
+    EXPECT_TRUE(store_.MightMatchPredicate(p, vocab_.p_type));
+    EXPECT_TRUE(store_.MightMatchPredicate(p, kInvalidTermId));
   }
   // ...so a query over a predicate no partition stores scans nothing.
   QueryBuilder qb;

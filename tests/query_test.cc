@@ -4,6 +4,10 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "partition/partitioned_store.h"
@@ -287,6 +291,164 @@ TEST_F(QueryEngineTest, JoinAcrossThreePatterns) {
   const auto ref = ref_engine.ExecuteGlobal(qb.Build());
   EXPECT_EQ(RowSet(global), RowSet(ref));
   EXPECT_FALSE(global.rows.empty());
+}
+
+/// Brute-force BGP evaluation over `triples` (deduplicated): patterns in
+/// query order, each a filter over every triple, constraints checked on
+/// the full row. Rows come back sorted.
+void BruteForceEval(const Query& q, const std::vector<Triple>& triples,
+                    const std::unordered_map<TermId, NodeGeo>& geo,
+                    std::size_t depth, const Binding& binding,
+                    std::vector<Binding>* out) {
+  if (depth == q.bgp.size()) {
+    auto at = [&](int var) {
+      auto it = geo.find(binding[var]);
+      return it != geo.end() ? &it->second : nullptr;
+    };
+    for (const SpatialConstraint& c : q.spatial) {
+      const NodeGeo* g = at(c.var);
+      if (g == nullptr || !c.box.Contains(LatLon{g->lat_deg, g->lon_deg})) {
+        return;
+      }
+    }
+    for (const TemporalConstraint& c : q.temporal) {
+      const NodeGeo* g = at(c.var);
+      if (g == nullptr || g->timestamp < c.t_min || g->timestamp > c.t_max) {
+        return;
+      }
+    }
+    out->push_back(binding);
+    return;
+  }
+  const QueryTriple& qt = q.bgp[depth];
+  for (const Triple& t : triples) {
+    if (!qt.p.IsVar() && qt.p.term != t.p) continue;
+    Binding next = binding;
+    auto bind = [&next](const QueryTerm& term, TermId value) {
+      if (!term.IsVar()) return term.term == value;
+      TermId& slot = next[term.var];
+      if (slot == kInvalidTermId) slot = value;
+      return slot == value;
+    };
+    if (bind(qt.s, t.s) && bind(qt.p, t.p) && bind(qt.o, t.o)) {
+      BruteForceEval(q, triples, geo, depth + 1, next, out);
+    }
+  }
+}
+
+TEST_F(QueryEngineTest, E5QueriesMatchBruteForceAtEveryPartitionCount) {
+  // The E5 path / join / hop shapes: their bind joins probe with the
+  // subject bound (path, hop) or the object bound (join). Rows must equal
+  // the brute-force answer at every partition count, and be identical —
+  // same order, same plan, same probe count — at every pool size.
+  const BoundingBox box = BoundingBox::Of(35.5, 23.5, 38.0, 26.0);
+  const TimestampMs t0 = reports_.front().timestamp;
+  const TimestampMs span = reports_.back().timestamp - t0;
+  Query path, join, hop;
+  {
+    QueryBuilder qb;
+    qb.WhereVar("a", vocab_.p_next_node, "b");
+    qb.WhereVar("b", vocab_.p_next_node, "c");
+    qb.Within("a", box);
+    path = qb.Build();
+  }
+  {
+    QueryBuilder qb;
+    qb.Pattern(QueryTerm::Var(qb.Var("v")), QueryTerm::Bound(vocab_.p_type),
+               QueryTerm::Bound(vocab_.c_vessel));
+    qb.Pattern(QueryTerm::Var(qb.Var("node")),
+               QueryTerm::Bound(vocab_.p_of_entity),
+               QueryTerm::Var(qb.Var("v")));
+    qb.WhereVar("node", vocab_.p_speed, "speed");
+    qb.Within("node", box);
+    join = qb.Build();
+  }
+  {
+    QueryBuilder qb;
+    qb.Where("a", vocab_.p_of_entity,
+             dict_.Intern(EntityIri(traces_[0].entity_id)));
+    qb.WhereVar("a", vocab_.p_next_node, "b");
+    qb.WhereVar("b", vocab_.p_speed, "v");
+    qb.During("a", t0 + span / 4, t0 + span * 3 / 4);
+    hop = qb.Build();
+  }
+  struct Case {
+    const char* name;
+    const Query* query;
+    bool subject_bound;  // every bind step binds the probe's subject
+  };
+  const Case cases[] = {
+      {"path", &path, true}, {"join", &join, false}, {"hop", &hop, true}};
+
+  std::vector<Triple> triples = triples_;
+  std::sort(triples.begin(), triples.end(), [](const Triple& a,
+                                               const Triple& b) {
+    return std::tie(a.s, a.p, a.o) < std::tie(b.s, b.p, b.o);
+  });
+  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
+
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  for (const Case& c : cases) {
+    std::vector<Binding> expected;
+    BruteForceEval(*c.query, triples, rdfizer_->node_geo(), 0,
+                   Binding(static_cast<std::size_t>(c.query->num_vars),
+                           kInvalidTermId),
+                   &expected);
+    std::sort(expected.begin(), expected.end());
+    ASSERT_FALSE(expected.empty()) << c.name;
+    for (const int k : {1, 2, 4, 8}) {
+      std::vector<std::unique_ptr<PartitionScheme>> schemes;
+      schemes.push_back(
+          std::make_unique<HashPartitioner>(k, &rdfizer_->tags()));
+      schemes.push_back(
+          HilbertPartitioner::Build(k, &rdfizer_->tags(), rdfizer_->grid()));
+      schemes.push_back(TemporalPartitioner::Build(k, &rdfizer_->tags()));
+      for (const auto& scheme : schemes) {
+        const std::string where =
+            std::string(c.name) + " " + scheme->name() + " k=" +
+            std::to_string(k);
+        PartitionedRdfStore store;
+        store.Load(triples_, *scheme, rdfizer_->grid(), vocab_.p_next_node);
+        const QueryEngine serial(&store, rdfizer_.get());
+        const ResultSet rs = serial.ExecuteGlobal(*c.query);
+        std::vector<Binding> sorted = rs.rows;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, expected) << where;
+        if (c.subject_bound) {
+          EXPECT_LE(rs.stats.bind_probes, rs.stats.intermediate_rows)
+              << where;
+        }
+        for (ThreadPool* pool : {&pool2, &pool4}) {
+          const QueryEngine pooled(&store, rdfizer_.get(), pool);
+          const ResultSet prs = pooled.ExecuteGlobal(*c.query);
+          EXPECT_EQ(prs.rows, rs.rows) << where;
+          EXPECT_EQ(prs.stats.join_kinds, rs.stats.join_kinds) << where;
+          EXPECT_EQ(prs.stats.bind_probes, rs.stats.bind_probes) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(QueryEngineTest, SubjectBoundBindProbesOnlyTheHomePartition) {
+  // One vessel's nodes, then their successors: the second pattern's
+  // subject is bound by every accumulated row, so each row probes one
+  // partition — never all of them.
+  QueryBuilder qb;
+  qb.Where("a", vocab_.p_of_entity,
+           dict_.Intern(EntityIri(traces_[1].entity_id)));
+  qb.WhereVar("a", vocab_.p_next_node, "b");
+  const Query q = qb.Build();
+  QueryEngine engine(&store_, rdfizer_.get());
+  const ResultSet rs = engine.ExecuteGlobal(q);
+  QueryEngine ref_engine(&reference_, rdfizer_.get());
+  EXPECT_EQ(RowSet(rs), RowSet(ref_engine.ExecuteGlobal(q)));
+  ASSERT_EQ(rs.stats.join_kinds, std::vector<JoinKind>{JoinKind::kBind});
+  const std::size_t acc_rows =
+      rs.stats.intermediate_rows - rs.stats.join_rows[0];
+  EXPECT_GT(acc_rows, 0u);
+  EXPECT_EQ(rs.stats.bind_probes, acc_rows);
 }
 
 class QueryFuzzTest : public QueryEngineTest,

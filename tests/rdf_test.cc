@@ -6,10 +6,15 @@
 #include <iterator>
 #include <limits>
 #include <set>
+#include <span>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "rdf/rdfizer.h"
+#include "rdf/streaming_store.h"
 #include "rdf/term.h"
 #include "rdf/triple_store.h"
 #include "rdf/vocab.h"
@@ -523,6 +528,188 @@ TEST(TripleStoreTest, EmptyStore) {
   store.Seal();
   EXPECT_EQ(store.size(), 0u);
   EXPECT_TRUE(store.Match({0, 0, 0}).empty());
+}
+
+// ------------------------------------------------- leading-key directory
+
+/// The matches of `pat` among `contents`, deduplicated and sorted in the
+/// order of the index whose prefix the pattern is: SPO when the subject is
+/// bound without the object alone (and for the full scan), POS when only
+/// the predicate leads, OSP for S?O and ??O.
+std::vector<Triple> BruteForceRange(std::vector<Triple> contents,
+                                    const TriplePattern& pat) {
+  std::erase_if(contents, [&pat](const Triple& t) {
+    return (pat.s != 0 && t.s != pat.s) || (pat.p != 0 && t.p != pat.p) ||
+           (pat.o != 0 && t.o != pat.o);
+  });
+  auto spo = [](const Triple& t) { return std::tie(t.s, t.p, t.o); };
+  auto pos = [](const Triple& t) { return std::tie(t.p, t.o, t.s); };
+  auto osp = [](const Triple& t) { return std::tie(t.o, t.s, t.p); };
+  const bool s = pat.s != 0, p = pat.p != 0, o = pat.o != 0;
+  std::sort(contents.begin(), contents.end(),
+            [&](const Triple& a, const Triple& b) {
+              if (s && (p || !o)) return spo(a) < spo(b);
+              if (p) return pos(a) < pos(b);
+              if (o) return osp(a) < osp(b);
+              return spo(a) < spo(b);
+            });
+  contents.erase(std::unique(contents.begin(), contents.end()),
+                 contents.end());
+  return contents;
+}
+
+/// Every pattern shape over terms drawn from `probes` (present and absent
+/// ones): Range() is the brute-force answer in index order, and Count()
+/// its size.
+void ExpectRangesMatchBruteForce(const TripleStore& store,
+                                 const std::vector<Triple>& contents,
+                                 const std::vector<Triple>& probes) {
+  for (const Triple& probe : probes) {
+    for (int shape = 0; shape < 8; ++shape) {
+      const TriplePattern pat{(shape & 1) ? probe.s : 0,
+                              (shape & 2) ? probe.p : 0,
+                              (shape & 4) ? probe.o : 0};
+      const std::vector<Triple> expected = BruteForceRange(contents, pat);
+      const std::span<const Triple> got = store.Range(pat);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                             expected.end()))
+          << "pattern (" << pat.s << "," << pat.p << "," << pat.o << ")";
+      EXPECT_EQ(store.Count(pat), expected.size());
+    }
+  }
+}
+
+/// Probe triples over wider term ranges than RandomTriples draws from,
+/// so subjects, predicates and objects are often absent.
+std::vector<Triple> RandomProbes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Triple> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back({static_cast<TermId>(rng.UniformInt(1, 60)),
+                   static_cast<TermId>(rng.UniformInt(45, 65)),
+                   static_cast<TermId>(rng.UniformInt(1, 110))});
+  }
+  return out;
+}
+
+TEST(TripleStoreDirectoryTest, EveryShapeMatchesBruteForceInIndexOrder) {
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const auto triples = RandomTriples(3000, 700 + seed);
+    TripleStore store;
+    store.AddBatch(triples);
+    store.Seal();
+    std::set<TermId> subjects;
+    for (const Triple& t : triples) subjects.insert(t.s);
+    EXPECT_EQ(store.subjects(), subjects.size());
+    ExpectRangesMatchBruteForce(store, triples, RandomProbes(60, seed));
+  }
+}
+
+TEST(TripleStoreDirectoryTest, LargeStoreSealedWithAPool) {
+  // Large enough for the parallel Seal path: the directory is built next
+  // to the concurrent POS and OSP builds.
+  ThreadPool pool(4);
+  const auto triples = RandomTriples(60000, 77);
+  TripleStore serial, pooled;
+  serial.AddBatch(triples);
+  pooled.AddBatch(triples);
+  serial.Seal();
+  pooled.Seal(&pool);
+  EXPECT_EQ(pooled.subjects(), serial.subjects());
+  for (const Triple& probe : RandomProbes(40, 78)) {
+    for (int shape = 0; shape < 8; ++shape) {
+      const TriplePattern pat{(shape & 1) ? probe.s : 0,
+                              (shape & 2) ? probe.p : 0,
+                              (shape & 4) ? probe.o : 0};
+      const std::span<const Triple> a = serial.Range(pat);
+      const std::span<const Triple> b = pooled.Range(pat);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    }
+  }
+  ExpectRangesMatchBruteForce(pooled, triples, RandomProbes(4, 79));
+}
+
+TEST(TripleStoreDirectoryTest, EmptyStoreAnswersNothing) {
+  TripleStore store;
+  store.Seal();
+  EXPECT_EQ(store.subjects(), 0u);
+  ExpectRangesMatchBruteForce(store, {}, RandomProbes(10, 5));
+}
+
+TEST(TripleStoreDirectoryTest, AbsentSubjectsAndPredicatesAreEmpty) {
+  TripleStore store;
+  store.AddBatch({{10, 100, 1}, {10, 101, 2}, {30, 100, 3}});
+  store.Seal();
+  // Below, between and above the stored keys.
+  for (const TermId s : {TermId{1}, TermId{20}, TermId{40}}) {
+    EXPECT_TRUE(store.Range({s, 0, 0}).empty());
+    EXPECT_EQ(store.Count({s, 100, 0}), 0u);
+    EXPECT_EQ(store.Count({s, 100, 1}), 0u);
+  }
+  for (const TermId p : {TermId{99}, TermId{102}}) {
+    EXPECT_TRUE(store.Range({0, p, 0}).empty());
+    EXPECT_EQ(store.Count({0, p, 1}), 0u);
+    EXPECT_EQ(store.Count({10, p, 0}), 0u);
+  }
+  EXPECT_EQ(store.Count({10, 0, 0}), 2u);
+  EXPECT_EQ(store.Count({0, 100, 0}), 2u);
+  EXPECT_EQ(store.Count({10, 100, 2}), 0u);
+}
+
+TEST(TripleStoreDirectoryTest, ResealAfterAddRebuildsTheDirectory) {
+  auto triples = RandomTriples(800, 31);
+  TripleStore store;
+  store.AddBatch(triples);
+  store.Seal();
+  // New subjects and predicates, more triples of existing keys, and
+  // duplicates of sealed triples.
+  std::vector<Triple> more = {{70, 61, 5}, {70, 52, 6}, {3, 62, 7}};
+  more.insert(more.end(), triples.begin(), triples.begin() + 100);
+  for (const Triple& t : more) store.Add(t);
+  EXPECT_FALSE(store.sealed());
+  store.Seal();
+  triples.insert(triples.end(), more.begin(), more.end());
+  std::vector<Triple> probes = RandomProbes(40, 32);
+  probes.insert(probes.end(), {{70, 61, 5}, {3, 62, 7}, {71, 63, 8}});
+  ExpectRangesMatchBruteForce(store, triples, probes);
+}
+
+TEST(TripleStoreDirectoryTest, StreamingBucketsMatchBruteForce) {
+  // Each sealed bucket is its own TripleStore: Match concatenates the
+  // archival answer and the bucket answers in bucket order, each in its
+  // index order.
+  const auto archived = RandomTriples(400, 90);
+  TripleStore archival;
+  archival.AddBatch(archived);
+  archival.Seal();
+  ThreadPool pool(2);
+  StreamingRdfStore::Config cfg;
+  cfg.bucket_ms = kMinute;
+  cfg.retention_buckets = 100;
+  StreamingRdfStore stream(cfg, &pool);
+  stream.AttachArchival(&archival);
+  std::vector<std::vector<Triple>> buckets;
+  for (int b = 0; b < 5; ++b) {
+    buckets.push_back(RandomTriples(300, 91 + b));
+    stream.Add(b * kMinute + kSecond, buckets.back());
+  }
+  stream.AdvanceTo(5 * kMinute);
+  ASSERT_EQ(stream.SealedBuckets(), 5u);
+  for (const Triple& probe : RandomProbes(25, 96)) {
+    for (int shape = 0; shape < 8; ++shape) {
+      const TriplePattern pat{(shape & 1) ? probe.s : 0,
+                              (shape & 2) ? probe.p : 0,
+                              (shape & 4) ? probe.o : 0};
+      std::vector<Triple> expected = BruteForceRange(archived, pat);
+      for (const auto& bucket : buckets) {
+        const std::vector<Triple> hits = BruteForceRange(bucket, pat);
+        expected.insert(expected.end(), hits.begin(), hits.end());
+      }
+      EXPECT_EQ(stream.Match(pat), expected)
+          << "pattern (" << pat.s << "," << pat.p << "," << pat.o << ")";
+      EXPECT_EQ(stream.Count(pat), expected.size());
+    }
+  }
 }
 
 // ------------------------------------------------------------ rdfizer
