@@ -107,10 +107,18 @@ struct BenchRecord {
   std::uint64_t epochs = 0;
   std::uint64_t mailbox_msgs = 0;
   std::uint64_t driver_drains = 0;  // shard-epochs the driver drained
+  int placed_workers = 0;  // pool workers placed on a CPU (WorkerCpus)
   double reports_per_epoch = 0.0;
   double terms_per_merge = 0.0;
   std::size_t dict_terms = 0;  // dictionary entries after the run
 };
+
+/// Pool workers the constructor placed on a CPU (ThreadPool::WorkerCpus).
+int PlacedWorkers(const ThreadPool& pool) {
+  int placed = 0;
+  for (int cpu : pool.WorkerCpus()) placed += cpu >= 0 ? 1 : 0;
+  return placed;
+}
 
 std::vector<BenchRecord> g_records;
 double g_trace_overhead_pct = 0.0;
@@ -131,14 +139,15 @@ void WriteJson(const char* path, std::size_t reports) {
                  "\"speedup\": %.3f, \"speedup_iqr\": %.3f, "
                  "\"identical\": %s, \"epochs\": %llu, "
                  "\"mailbox_msgs\": %llu, \"driver_drains\": %llu, "
-                 "\"reports_per_epoch\": %.1f, "
+                 "\"placed_workers\": %d, \"reports_per_epoch\": %.1f, "
                  "\"terms_per_merge\": %.1f, \"dict_terms\": %zu}%s\n",
                  r.shards, r.threads, r.wall_s, r.wall_s_iqr, r.reports_per_s,
                  r.speedup, r.speedup_iqr, r.identical ? "true" : "false",
                  static_cast<unsigned long long>(r.epochs),
                  static_cast<unsigned long long>(r.mailbox_msgs),
                  static_cast<unsigned long long>(r.driver_drains),
-                 r.reports_per_epoch, r.terms_per_merge, r.dict_terms,
+                 r.placed_workers, r.reports_per_epoch, r.terms_per_merge,
+                 r.dict_terms,
                  i + 1 < g_records.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -642,6 +651,7 @@ int Run(bool quick, const char* trace_out) {
       rec.epochs = epochs_ctr->Value() - epochs0;
       rec.mailbox_msgs = mbox_ctr->Value() - mbox0;
       rec.driver_drains = driver_drains_ctr->Value() - helped0;
+      rec.placed_workers = PlacedWorkers(pool);
       const std::uint64_t merge_terms = merge_terms_ctr->Value() - terms0;
       rec.reports_per_epoch =
           rec.epochs > 0 ? static_cast<double>(stream.size()) / rec.epochs
@@ -656,6 +666,8 @@ int Run(bool quick, const char* trace_out) {
         std::printf("%s", sharded.MetricsReport().c_str());
         obs::MetricsSnapshot snap = sharded.MetricsSnapshot();
         snap.AddHistogram("pool.queue_ns", pool.QueueWaitNanos());
+        snap.AddCounter("pool.placed_workers",
+                        static_cast<std::uint64_t>(PlacedWorkers(pool)));
         AddMetricsPhase("sharded_8", std::move(snap));
       }
     }
@@ -696,15 +708,15 @@ int Run(bool quick, const char* trace_out) {
               "serial loop at every shard count; medians of %d interleaved "
               "repetitions, IQR in brackets)\n",
               kReps);
-  std::printf("%8s %8s %18s %14s %16s %10s %8s %9s %11s %11s %11s\n",
+  std::printf("%8s %8s %18s %14s %16s %10s %8s %9s %11s %11s %11s %7s\n",
               "shards", "threads", "wall_s", "reports_per_s", "speedup",
               "identical", "epochs", "rpt/epoch", "terms/merge", "mbox_msgs",
-              "drv_drains");
+              "drv_drains", "placed");
   std::printf(
-      "%8s %8d %9.3f [%6.3f] %14.0f %16s %10s %8s %9s %11s %11s %11s\n",
+      "%8s %8d %9.3f [%6.3f] %14.0f %16s %10s %8s %9s %11s %11s %11s %7s\n",
       "serial", 0, serial_wall.median, serial_wall.iqr,
       stream.size() / serial_wall.median, "1.0x", "-", "-", "-", "-", "-",
-      "-");
+      "-", "-");
   for (std::size_t i = 0; i < std::size(shard_rows); ++i) {
     BenchRecord& rec = shard_records[i];
     const Spread wall = SpreadOf(shard_walls[i]);
@@ -716,14 +728,15 @@ int Run(bool quick, const char* trace_out) {
     rec.speedup_iqr = speedup.iqr;
     g_records.push_back(rec);
     std::printf("%8d %8d %9.3f [%6.3f] %14.0f %8.2fx [%5.2f] %10s %8llu "
-                "%9.1f %11.1f %11llu %11llu\n",
+                "%9.1f %11.1f %11llu %11llu %7d\n",
                 rec.shards, rec.threads, rec.wall_s, rec.wall_s_iqr,
                 rec.reports_per_s, rec.speedup, rec.speedup_iqr,
                 rec.identical ? "yes" : "NO",
                 static_cast<unsigned long long>(rec.epochs),
                 rec.reports_per_epoch, rec.terms_per_merge,
                 static_cast<unsigned long long>(rec.mailbox_msgs),
-                static_cast<unsigned long long>(rec.driver_drains));
+                static_cast<unsigned long long>(rec.driver_drains),
+                rec.placed_workers);
   }
   std::printf("\n  tracing overhead: %+.2f%% [IQR %.2f] (traced vs untraced "
               "serial loop, same repetition)\n",

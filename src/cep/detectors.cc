@@ -397,17 +397,18 @@ void LoiteringDetector::Process(const PositionReport& report,
     return;
   }
   if (report.speed_mps < config_.min_speed_mps) return;
-  // Net displacement and max excursion within the window. The latitude
-  // cosine is hoisted out of the loop (the window stays within the
-  // loitering radius, so one reference latitude serves every pair).
+  // Max excursion within the window; the first point beyond the radius
+  // decides "no alarm", so the scan stops there. The latitude cosine is
+  // hoisted out of the loop (the window stays within the loitering
+  // radius, so one reference latitude serves every pair).
   double max_excursion = 0.0;
   const double cos_lat = std::cos(report.position.lat_deg * kDegToRad);
   for (const PositionReport& p : win) {
-    max_excursion = std::max(
-        max_excursion, EquirectangularMetersWithCos(cos_lat, p.position.ll(),
-                                                    report.position.ll()));
+    const double d = EquirectangularMetersWithCos(cos_lat, p.position.ll(),
+                                                  report.position.ll());
+    if (d > config_.radius_m) return;
+    max_excursion = std::max(max_excursion, d);
   }
-  if (max_excursion > config_.radius_m) return;
   if (!MayAlarm(&last_alarm_, report.entity_id, report.timestamp,
                 config_.realarm_interval)) {
     return;

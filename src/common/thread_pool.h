@@ -16,6 +16,16 @@
 
 namespace datacron {
 
+/// Worker placement plan: worker i gets the i-th CPU of `allowed` after
+/// `own_cpu`, in ascending CPU order and wrapping around, so the first
+/// workers avoid the constructing thread's CPU and more workers than CPUs
+/// cycle through the mask again. When `own_cpu` is not in `allowed` (or
+/// is -1), counting starts at the next allowed CPU above it. An empty
+/// mask plans -1 (unplaced) for every worker. `allowed` must be sorted
+/// and free of duplicates.
+std::vector<int> PlanWorkerCpus(const std::vector<int>& allowed, int own_cpu,
+                                std::size_t num_workers);
+
 /// Fixed-size worker pool used by the parallel query executor, the
 /// pipeline runner and the bulk-ingest path. Tasks are
 /// `std::function<void()>`; `Submit` returns a future for composition,
@@ -26,9 +36,18 @@ namespace datacron {
 /// parallelism). The calling thread help-runs queued tasks while it waits
 /// (HelpUntil), so nested calls cannot deadlock even on a single-worker
 /// pool.
+///
+/// Each worker starts on its own CPU: before the constructor returns,
+/// worker i has moved itself to the i-th allowed CPU after the
+/// constructor's (PlanWorkerCpus) and then released its affinity back to
+/// the full inherited mask. Where the kernel does not balance load across
+/// CPUs, a thread otherwise stays on the CPU of the thread that created
+/// it, and every worker would queue behind the constructor on one core.
+/// This is placement, not pinning: once released, a balancing kernel may
+/// still move the worker.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (at least 1).
+  /// Spawns `num_threads` workers (at least 1) and places each on its CPU.
   explicit ThreadPool(std::size_t num_threads);
 
   /// Drains the queue and joins all workers.
@@ -38,6 +57,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t num_threads() const { return workers_.size(); }
+
+  /// The CPU each worker was placed on at construction, or -1 where
+  /// placing failed (or the platform has no affinity calls). Fixed once
+  /// the constructor returns.
+  const std::vector<int>& WorkerCpus() const { return worker_cpus_; }
 
   /// Enqueues a task; returns a future for its result.
   template <typename Fn>
@@ -107,6 +131,7 @@ class ThreadPool {
   std::function<void()> PopFrontLocked();
 
   std::vector<std::thread> workers_;
+  std::vector<int> worker_cpus_;
   std::deque<QueuedTask> queue_;
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
+#include <map>
 
 #include "common/rng.h"
+#include "geo/kernels.h"
 
 #include "cep/cpa.h"
 #include "cep/detectors.h"
@@ -222,6 +226,108 @@ TEST(LoiteringDetectorTest, AnchoredVesselNotLoitering) {
         Moving(1, i * 20 * kSecond, 36.5, 24.5, 0.05, 0), &events);
   }
   EXPECT_EQ(CountKind(events, EventKind::kLoitering), 0);
+}
+
+// The loitering decision as a full scan of the window: every point's
+// excursion is computed before the radius is checked. The detector stops
+// at the first point beyond the radius and must emit exactly these events.
+std::vector<Event> FullScanLoitering(const LoiteringDetector::Config& cfg,
+                                     const std::vector<PositionReport>& in) {
+  std::map<EntityId, std::deque<PositionReport>> windows;
+  std::map<EntityId, TimestampMs> last_alarm;
+  std::vector<Event> out;
+  for (const PositionReport& report : in) {
+    std::deque<PositionReport>& win = windows[report.entity_id];
+    win.push_back(report);
+    while (!win.empty() &&
+           report.timestamp - win.front().timestamp > cfg.window) {
+      win.pop_front();
+    }
+    if (win.size() < 3 ||
+        report.timestamp - win.front().timestamp < cfg.window * 9 / 10) {
+      continue;
+    }
+    if (report.speed_mps < cfg.min_speed_mps) continue;
+    double max_excursion = 0.0;
+    const double cos_lat = std::cos(report.position.lat_deg * kDegToRad);
+    for (const PositionReport& p : win) {
+      max_excursion = std::max(
+          max_excursion, EquirectangularMetersWithCos(
+                             cos_lat, p.position.ll(), report.position.ll()));
+    }
+    if (max_excursion > cfg.radius_m) continue;
+    auto it = last_alarm.find(report.entity_id);
+    if (it != last_alarm.end() &&
+        report.timestamp - it->second < cfg.realarm_interval) {
+      continue;
+    }
+    last_alarm[report.entity_id] = report.timestamp;
+    Event e;
+    e.kind = EventKind::kLoitering;
+    e.time = report.timestamp;
+    e.predicted_time = report.timestamp;
+    e.entities = {report.entity_id};
+    e.position = report.position;
+    e.attributes["excursion_m"] = max_excursion;
+    e.attributes["window_s"] = cfg.window / 1000.0;
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+TEST(LoiteringDetectorTest, EarlyExitMatchesFullScanOnMixedTracks) {
+  LoiteringDetector::Config cfg;
+  cfg.window = 10 * kMinute;
+  cfg.radius_m = 800;
+  cfg.realarm_interval = 15 * kMinute;
+  Rng rng(2718);
+  // Loiterers circle at radii on both sides of the alarm radius (some
+  // drift away mid-stream), transits cross the area, and anchored vessels
+  // sit still below the minimum speed; reports interleave in time order.
+  struct Track {
+    LatLon center;
+    double orbit_m;
+    double drift_mps;
+    double speed_mps;
+    int kind;  // 0 loiter, 1 transit, 2 anchored
+  };
+  std::vector<Track> tracks;
+  for (int i = 0; i < 24; ++i) {
+    Track t;
+    t.center = {36.0 + rng.Uniform(0, 1), 24.0 + rng.Uniform(0, 1)};
+    t.kind = i % 3;
+    t.orbit_m = rng.Uniform(100, 600);
+    t.drift_mps = (i % 4 == 0) ? rng.Uniform(0.05, 0.6) : 0.0;
+    t.speed_mps = t.kind == 2 ? 0.1 : rng.Uniform(1.0, 8.0);
+    tracks.push_back(t);
+  }
+  std::vector<PositionReport> in;
+  for (int step = 0; step < 540; ++step) {
+    const TimestampMs ts = step * 20 * kSecond;
+    for (std::size_t v = 0; v < tracks.size(); ++v) {
+      const Track& t = tracks[v];
+      if (rng.Uniform(0, 1) < 0.1) continue;  // an irregular cadence
+      const double secs = ts / 1000.0;
+      LatLon pos = t.center;
+      double course = 90;
+      if (t.kind == 0) {
+        course = std::fmod(secs * 0.5, 360.0);
+        pos = DestinationPoint(DestinationPoint(t.center, 45, secs * t.drift_mps),
+                               course, t.orbit_m);
+      } else if (t.kind == 1) {
+        pos = DestinationPoint(t.center, course, secs * t.speed_mps);
+      }
+      in.push_back(Moving(static_cast<EntityId>(v + 1), ts, pos.lat_deg,
+                          pos.lon_deg, t.speed_mps, course));
+    }
+  }
+
+  LoiteringDetector det(cfg);
+  std::vector<Event> events;
+  for (const PositionReport& r : in) det.ProcessCounted(r, &events);
+  const std::vector<Event> expected = FullScanLoitering(cfg, in);
+  EXPECT_GT(CountKind(expected, EventKind::kLoitering), 10);
+  EXPECT_EQ(events, expected);
 }
 
 // ------------------------------------------------------------- capacity

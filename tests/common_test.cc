@@ -8,6 +8,11 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/csv.h"
 #include "common/logging.h"
@@ -650,6 +655,80 @@ TEST(ThreadPoolTest, HelpUntilWakesOnNotify) {
   }
   setter.join();
 }
+
+// ------------------------------------------------------------- Placement
+
+TEST(ThreadPoolPlacementTest, PlanStartsAfterTheOwnCpuAndWraps) {
+  EXPECT_EQ(PlanWorkerCpus({0, 1, 2, 3}, 2, 3), (std::vector<int>{3, 0, 1}));
+  EXPECT_EQ(PlanWorkerCpus({0, 1, 2, 3}, 3, 2), (std::vector<int>{0, 1}));
+  EXPECT_EQ(PlanWorkerCpus({0, 1, 2, 3}, 0, 3), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(ThreadPoolPlacementTest, PlanWhenTheOwnCpuIsOutsideTheMask) {
+  // Counting starts at the next allowed CPU above the own one.
+  EXPECT_EQ(PlanWorkerCpus({1, 3, 5}, 4, 3), (std::vector<int>{5, 1, 3}));
+  EXPECT_EQ(PlanWorkerCpus({1, 3, 5}, 0, 2), (std::vector<int>{1, 3}));
+  EXPECT_EQ(PlanWorkerCpus({1, 3, 5}, 7, 2), (std::vector<int>{1, 3}));
+  // An unknown own CPU (-1) counts from the lowest allowed one.
+  EXPECT_EQ(PlanWorkerCpus({1, 3, 5}, -1, 2), (std::vector<int>{1, 3}));
+}
+
+TEST(ThreadPoolPlacementTest, PlanOnAOneCpuMaskPutsEveryWorkerThere) {
+  EXPECT_EQ(PlanWorkerCpus({2}, 2, 3), (std::vector<int>{2, 2, 2}));
+  EXPECT_EQ(PlanWorkerCpus({2}, 0, 2), (std::vector<int>{2, 2}));
+}
+
+TEST(ThreadPoolPlacementTest, PlanWithMoreWorkersThanCpusCycles) {
+  EXPECT_EQ(PlanWorkerCpus({0, 1, 2, 3}, 0, 6),
+            (std::vector<int>{1, 2, 3, 0, 1, 2}));
+  EXPECT_EQ(PlanWorkerCpus({4, 6}, 4, 5), (std::vector<int>{6, 4, 6, 4, 6}));
+}
+
+TEST(ThreadPoolPlacementTest, PlanOnAnEmptyMaskLeavesWorkersUnplaced) {
+  EXPECT_EQ(PlanWorkerCpus({}, 0, 3), (std::vector<int>{-1, -1, -1}));
+  EXPECT_TRUE(PlanWorkerCpus({0, 1}, 0, 0).empty());
+}
+
+#if defined(__linux__)
+// Two tasks that can only finish together run on two workers at once;
+// each records its CPU once both have arrived. Placed workers start on
+// distinct CPUs, so the two must differ. Where the kernel does not
+// balance load, unplaced workers would both sit on the constructing
+// thread's CPU and report the same one.
+TEST(ThreadPoolPlacementTest, TwoConcurrentTasksRunOnDistinctCpus) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  if (CPU_COUNT(&mask) < 3) {
+    GTEST_SKIP() << "the affinity mask allows fewer than 3 CPUs";
+  }
+  ThreadPool pool(2);
+  ASSERT_EQ(pool.WorkerCpus().size(), 2u);
+  for (int cpu : pool.WorkerCpus()) {
+    EXPECT_TRUE(cpu == -1 || CPU_ISSET(cpu, &mask)) << cpu;
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::vector<int> cpus;
+  auto task = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    cv.wait(lock, [&] { return arrived == 2; });
+    cpus.push_back(sched_getcpu());
+  };
+  auto a = pool.Submit(task);
+  auto b = pool.Submit(task);
+  a.get();
+  b.get();
+  ASSERT_EQ(cpus.size(), 2u);
+  EXPECT_NE(cpus[0], cpus[1]);
+  if (pool.WorkerCpus()[0] != -1 && pool.WorkerCpus()[1] != -1) {
+    EXPECT_NE(pool.WorkerCpus()[0], pool.WorkerCpus()[1]);
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace datacron
